@@ -15,6 +15,7 @@
 #include "sched/policy.h"
 #include "sim/emulator.h"
 #include "util/fmt.h"
+#include "util/index_set.h"
 #include "util/logging.h"
 #include "util/mathx.h"
 #include "util/stopwatch.h"
@@ -337,6 +338,24 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
                               LoopEventKind::kEpoch, epoch_count++});
   }
 
+  // Per-cell served-job index: the ascending indices of the kActive jobs
+  // each cell serves. Every per-cell walk (conservation, ladder candidates,
+  // crash displacement, epoch measurement, migration candidates) iterates
+  // it instead of scanning every job of the trace, so that work is
+  // O(served jobs). Ascending job index is the order the full scan
+  // produced, which keeps every report byte-identical. set_state is the
+  // only writer of Job::state and Job::cell (kNoCell unless kActive).
+  std::vector<util::IndexSet> active_by_cell(cell_count);
+  auto set_state = [&](std::size_t job_index, Job::State state,
+                       std::size_t cell = kNoCell) {
+    Job& job = jobs[job_index];
+    if (job.state == Job::State::kActive)
+      active_by_cell[job.cell].erase(job_index);
+    job.state = state;
+    job.cell = state == Job::State::kActive ? cell : kNoCell;
+    if (state == Job::State::kActive) active_by_cell[cell].insert(job_index);
+  };
+
   // No-orphaned-resources conservation: after every ladder application and
   // at each epoch boundary, every cell's ledger and deployed blocks must
   // re-derive exactly from the plans it currently serves
@@ -345,9 +364,9 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
     if (!sched_on) return;
     for (std::size_t i = 0; i < cell_count; ++i) {
       std::vector<std::pair<std::string, const core::TaskPlan*>> served;
-      for (const Job& job : jobs)
-        if (job.state == Job::State::kActive && job.cell == i)
-          served.emplace_back(job.name, &job.plan);
+      served.reserve(active_by_cell[i].size());
+      for (const std::size_t j : active_by_cell[i])
+        served.emplace_back(jobs[j].name, &jobs[j].plan);
       if (const auto violation = sched::find_orphaned_resources(
               dispatcher_.cell(i).controller(), served, catalog_))
         throw std::logic_error(
@@ -363,7 +382,8 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
   auto apply_victims = [&](const std::vector<sched::VictimOutcome>& victims,
                            double now) {
     for (const sched::VictimOutcome& outcome : victims) {
-      Job& victim = jobs[job_by_trace_id.at(outcome.id)];
+      const std::size_t victim_index = job_by_trace_id.at(outcome.id);
+      Job& victim = jobs[victim_index];
       switch (outcome.fate) {
         case sched::VictimOutcome::Fate::kDowngraded:
           flight(now, obs::FlightEventKind::kDowngrade, victim.trace_id,
@@ -384,10 +404,9 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
         case sched::VictimOutcome::Fate::kPreempted: {
           flight(now, obs::FlightEventKind::kPreemption, victim.trace_id,
                  static_cast<std::int64_t>(victim.cell), 0, 0.0, "ladder");
-          victim.state = Job::State::kPending;
+          set_state(victim_index, Job::State::kPending);
           victim.sched_preempted = true;
           victim.attempts = 0;
-          victim.cell = kNoCell;
           ++report.sched.preemptions;
           sched_preemptions_total->inc();
           deadline_monitor.on_preempted(victim.trace_id);
@@ -395,8 +414,7 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
           if (retry_at > trace.horizon_s) break;  // preempted-pending
           ++report.sched.readmission_retries;
           calendar.push(LoopEvent{retry_at, sequence++,
-                                  LoopEventKind::kRetry,
-                                  job_by_trace_id.at(outcome.id)});
+                                  LoopEventKind::kRetry, victim_index});
           break;
         }
       }
@@ -421,8 +439,7 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
     for (std::size_t i = 0; i < cell_count; ++i) observe_cell(i);
 
     if (outcome.admitted) {
-      job.state = Job::State::kActive;
-      job.cell = outcome.cell;
+      set_state(job_index, Job::State::kActive, outcome.cell);
       job.plan = outcome.plan;
       job.admitted_task = std::move(task);
       ++stats.admitted;
@@ -462,14 +479,18 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
             order.push_back(i);
       bool ladder_ran = false;
       for (const std::size_t cell_index : order) {
+        // Candidates point at the served jobs' specs, which stay put until
+        // apply_victims runs after the ladder returns.
+        const util::IndexSet& served_here = active_by_cell[cell_index];
+        if (served_here.empty()) continue;
         std::vector<sched::SchedCandidate> candidates;
-        for (const Job& served : jobs)
-          if (served.state == Job::State::kActive &&
-              served.cell == cell_index)
-            candidates.push_back(sched::SchedCandidate{
-                served.trace_id, served.priority, served.admitted_task,
-                served.sched_downgraded});
-        if (candidates.empty()) continue;
+        candidates.reserve(served_here.size());
+        for (const std::size_t j : served_here) {
+          const Job& served = jobs[j];
+          candidates.push_back(sched::SchedCandidate{
+              served.trace_id, served.priority, &served.admitted_task,
+              served.sched_downgraded});
+        }
         ladder_ran = true;
         DispatcherSchedHost host(dispatcher_, cell_index, catalog_,
                                  catalog_fp_ptr);
@@ -481,8 +502,7 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
         apply_victims(ladder.victims, now);
         for (std::size_t i = 0; i < cell_count; ++i) observe_cell(i);
         if (ladder.action != sched::SchedAction::kReject) {
-          job.state = Job::State::kActive;
-          job.cell = cell_index;
+          set_state(job_index, Job::State::kActive, cell_index);
           job.plan = ladder.plan;
           job.admitted_task = std::move(task);
           ++stats.admitted;
@@ -525,7 +545,7 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
     }
 
     if (job.attempts >= options_.retry.max_attempts) {
-      job.state = Job::State::kRejected;
+      set_state(job_index, Job::State::kRejected);
       ++stats.rejected_final;
       flight(now, obs::FlightEventKind::kRejection, job.trace_id, -1,
              job.attempts, 0.0, "exhausted");
@@ -561,9 +581,8 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
     for (std::size_t i = 0; i < cell_count; ++i) observe_cell(i);
 
     if (outcome.admitted) {
-      job.state = Job::State::kActive;
+      set_state(job_index, Job::State::kActive, outcome.cell);
       job.readmitting = false;
-      job.cell = outcome.cell;
       job.plan = outcome.plan;
       job.admitted_task = std::move(task);
       if (job.attempts == 1)
@@ -579,7 +598,7 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
       return;
     }
     if (job.attempts >= options_.retry.max_attempts) {
-      job.state = Job::State::kRejected;
+      set_state(job_index, Job::State::kRejected);
       ++report.faults.displaced_rejected;
       fault_rejections_total->inc();
       flight(now, obs::FlightEventKind::kRejection, job.trace_id, -1,
@@ -615,9 +634,8 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
     for (std::size_t i = 0; i < cell_count; ++i) observe_cell(i);
 
     if (outcome.admitted) {
-      job.state = Job::State::kActive;
+      set_state(job_index, Job::State::kActive, outcome.cell);
       job.sched_preempted = false;  // this preemption is resolved
-      job.cell = outcome.cell;
       job.plan = outcome.plan;
       job.admitted_task = std::move(task);
       ++report.sched.preempted_readmitted;
@@ -629,7 +647,7 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
       return;
     }
     if (job.attempts >= options_.retry.max_attempts) {
-      job.state = Job::State::kRejected;
+      set_state(job_index, Job::State::kRejected);
       ++report.sched.preempted_rejected;
       flight(now, obs::FlightEventKind::kRejection, job.trace_id, -1,
              job.attempts, 0.0, "sched_exhausted");
@@ -648,10 +666,8 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
   // Active jobs of one cell in displacement order: highest priority first
   // (they re-place against the surviving capacity first), ties by trace id.
   auto displacement_order = [&](std::size_t cell) {
-    std::vector<std::size_t> order;
-    for (std::size_t j = 0; j < jobs.size(); ++j)
-      if (jobs[j].state == Job::State::kActive && jobs[j].cell == cell)
-        order.push_back(j);
+    std::vector<std::size_t> order(active_by_cell[cell].begin(),
+                                   active_by_cell[cell].end());
     // job.priority equals the template priority whenever scheduling (or
     // QoS) is off, so the order is unchanged on pre-sched configurations.
     std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
@@ -666,13 +682,12 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
     Job& job = jobs[job_index];
     flight(now, obs::FlightEventKind::kDisplacement, job.trace_id,
            job.cell == kNoCell ? -1 : static_cast<std::int64_t>(job.cell));
-    job.state = Job::State::kPending;
+    set_state(job_index, Job::State::kPending);
     job.readmitting = true;
     // A fault displacement supersedes a pending ladder preemption: the
     // job re-enters through the fault readmission path.
     job.sched_preempted = false;
     job.attempts = 0;
-    job.cell = kNoCell;
     ++report.faults.displaced;
     fault_displaced_total->inc();
     if (sched_on) {
@@ -767,10 +782,10 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
     for (std::size_t i = 0; i < cell_count; ++i) {
       core::DeploymentPlan live;
       std::unordered_map<std::string, std::size_t> class_by_name;
-      for (const Job& job : jobs) {
-        if (job.state != Job::State::kActive || job.cell != i) continue;
-        live.tasks.push_back(job.plan);
-        class_by_name.emplace(job.name, job.class_index);
+      live.tasks.reserve(active_by_cell[i].size());
+      for (const std::size_t j : active_by_cell[i]) {
+        live.tasks.push_back(jobs[j].plan);
+        class_by_name.emplace(jobs[j].name, jobs[j].class_index);
       }
       snapshot.active_tasks += live.tasks.size();
       if (live.tasks.empty()) continue;
@@ -860,10 +875,8 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
 
         // Candidates: active jobs at `source`, lowest priority first
         // (ties: lower trace id — deterministic).
-        std::vector<std::size_t> candidates;
-        for (std::size_t j = 0; j < jobs.size(); ++j)
-          if (jobs[j].state == Job::State::kActive && jobs[j].cell == source)
-            candidates.push_back(j);
+        std::vector<std::size_t> candidates(active_by_cell[source].begin(),
+                                            active_by_cell[source].end());
         // Effective priority (mirrors the template when sched/QoS is off,
         // so pre-sched migration order is unchanged).
         std::sort(candidates.begin(), candidates.end(),
@@ -903,7 +916,7 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
               flight(now, obs::FlightEventKind::kMigration, job.trace_id,
                      static_cast<std::int64_t>(target),
                      static_cast<std::uint64_t>(source));
-              job.cell = target;
+              set_state(job_index, Job::State::kActive, target);
               job.plan = migrated_plan;
               ++report.migration.migrated;
               migrations_done.inc();
@@ -987,8 +1000,7 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
           else
             ++report.classes[job.class_index].departed_before_admission;
         }
-        job.state = Job::State::kDeparted;
-        job.cell = kNoCell;
+        set_state(event.job, Job::State::kDeparted);
         if (sched_on) deadline_monitor.on_departed(job.trace_id);
         break;
       }

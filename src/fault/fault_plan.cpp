@@ -7,6 +7,7 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "util/fmt.h"
 #include "util/rng.h"
@@ -97,8 +98,10 @@ void FaultPlan::validate() const {
   if (horizon_s < 0.0)
     throw std::invalid_argument(
         util::fmt("FaultPlan '{}': negative horizon", name));
-  // active[cell * 4 + class] tracks the open onset per (cell, fault class).
-  std::vector<bool> active(cell_count * 4, false);
+  // active[cell][class] tracks the open onset per (cell, fault class). It
+  // is keyed by the cells the events touch, so its size is bounded by the
+  // input rather than by cell_count (which a plan file states freely).
+  std::unordered_map<std::size_t, std::array<bool, 4>> active;
   for (std::size_t i = 0; i < events.size(); ++i) {
     const FaultEvent& event = events[i];
     if (event.time_s < 0.0 || event.time_s > horizon_s + 1e-9)
@@ -127,8 +130,7 @@ void FaultPlan::validate() const {
           "FaultPlan '{}': event {} ({}) carries magnitude {}", name, i,
           fault_event_kind_name(event.kind), event.magnitude));
     }
-    std::vector<bool>::reference open =
-        active[event.cell * 4 + class_of(event.kind)];
+    bool& open = active[event.cell][class_of(event.kind)];
     if (is_onset(event.kind)) {
       if (open)
         throw std::invalid_argument(util::fmt(
@@ -253,9 +255,10 @@ FaultPlan read_fault_plan(std::istream& in) {
   }
   expect_keyword(reader, reader.next("horizon"), "horizon") >> plan.horizon_s;
   expect_keyword(reader, reader.next("cells"), "cells") >> plan.cell_count;
+  // The event count is untrusted input: events are appended as they are
+  // read, so memory grows with the file, never with the header's claim.
   std::size_t count = 0;
   expect_keyword(reader, reader.next("events"), "events") >> count;
-  plan.events.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     std::istringstream stream =
         expect_keyword(reader, reader.next("event"), "event");

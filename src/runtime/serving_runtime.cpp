@@ -20,6 +20,7 @@
 #include "sched/policy.h"
 #include "sim/emulator.h"
 #include "util/fmt.h"
+#include "util/index_set.h"
 #include "util/logging.h"
 #include "util/mathx.h"
 #include "util/stopwatch.h"
@@ -362,6 +363,20 @@ RuntimeReport ServingRuntime::run(const WorkloadTrace& trace) {
                               LoopEventKind::kEpoch, epoch_count++});
   }
 
+  // Served-job index: the ascending indices of every kActive job. Each
+  // hot-path walk (conservation, ladder candidates, displacement, epoch
+  // measurement) iterates it instead of scanning every job of the trace,
+  // so per-admission and per-epoch work is O(served jobs). Ascending job
+  // index is the order the full scan produced, which keeps every report
+  // byte-identical. set_state is the only writer of Job::state.
+  util::IndexSet active;
+  auto set_state = [&](std::size_t job_index, Job::State state) {
+    Job& job = jobs[job_index];
+    if (job.state == Job::State::kActive) active.erase(job_index);
+    job.state = state;
+    if (state == Job::State::kActive) active.insert(job_index);
+  };
+
   // No-orphaned-resources conservation: after every ladder application and
   // at each epoch boundary, the controller's ledger and deployed blocks
   // must re-derive exactly from the currently-served plans
@@ -369,9 +384,9 @@ RuntimeReport ServingRuntime::run(const WorkloadTrace& trace) {
   auto check_conservation = [&](const char* where) {
     if (!sched_on) return;
     std::vector<std::pair<std::string, const core::TaskPlan*>> served;
-    for (const Job& job : jobs)
-      if (job.state == Job::State::kActive)
-        served.emplace_back(job.name, &job.plan);
+    served.reserve(active.size());
+    for (const std::size_t j : active)
+      served.emplace_back(jobs[j].name, &jobs[j].plan);
     if (const auto violation =
             sched::find_orphaned_resources(controller_, served, catalog_))
       throw std::logic_error(util::fmt(
@@ -384,7 +399,8 @@ RuntimeReport ServingRuntime::run(const WorkloadTrace& trace) {
   auto apply_victims = [&](const std::vector<sched::VictimOutcome>& victims,
                            double now) {
     for (const sched::VictimOutcome& outcome : victims) {
-      Job& victim = jobs[job_by_trace_id.at(outcome.id)];
+      const std::size_t victim_index = job_by_trace_id.at(outcome.id);
+      Job& victim = jobs[victim_index];
       switch (outcome.fate) {
         case sched::VictimOutcome::Fate::kDowngraded:
           victim.plan = outcome.plan;
@@ -402,7 +418,7 @@ RuntimeReport ServingRuntime::run(const WorkloadTrace& trace) {
           victim.admitted_task = outcome.task;
           break;
         case sched::VictimOutcome::Fate::kPreempted: {
-          victim.state = Job::State::kPending;
+          set_state(victim_index, Job::State::kPending);
           victim.sched_preempted = true;
           victim.attempts = 0;
           ++report.sched.preemptions;
@@ -414,8 +430,7 @@ RuntimeReport ServingRuntime::run(const WorkloadTrace& trace) {
           if (retry_at > trace.horizon_s) break;  // preempted-pending
           ++report.sched.readmission_retries;
           calendar.push(LoopEvent{retry_at, sequence++,
-                                  LoopEventKind::kRetry,
-                                  job_by_trace_id.at(outcome.id)});
+                                  LoopEventKind::kRetry, victim_index});
           break;
         }
       }
@@ -449,12 +464,16 @@ RuntimeReport ServingRuntime::run(const WorkloadTrace& trace) {
         // Preemption ladder: probe-as-is first, then downgrade or evict
         // lower-priority served jobs (see sched/policy.h). Victim outcomes
         // apply even when the arrival is rejected (rollback re-shapes).
+        // Candidates point at the served jobs' specs, which stay put until
+        // apply_victims runs after the ladder returns.
         std::vector<sched::SchedCandidate> candidates;
-        for (const Job& served : jobs)
-          if (served.state == Job::State::kActive)
-            candidates.push_back(sched::SchedCandidate{
-                served.trace_id, served.priority, served.admitted_task,
-                served.sched_downgraded});
+        candidates.reserve(active.size());
+        for (const std::size_t j : active) {
+          const Job& served = jobs[j];
+          candidates.push_back(sched::SchedCandidate{
+              served.trace_id, served.priority, &served.admitted_task,
+              served.sched_downgraded});
+        }
         const sched::LadderOutcome outcome = sched::run_preemption_ladder(
             sched_host, task, candidates, options_.sched);
         report.sched.probes += outcome.probes;
@@ -493,7 +512,7 @@ RuntimeReport ServingRuntime::run(const WorkloadTrace& trace) {
     }
 
     if (admitted) {
-      job.state = Job::State::kActive;
+      set_state(job_index, Job::State::kActive);
       job.plan = std::move(task_plan);
       job.admitted_task = std::move(task);
       ++stats.admitted;
@@ -515,7 +534,7 @@ RuntimeReport ServingRuntime::run(const WorkloadTrace& trace) {
     if (sched_on) check_conservation("after ladder rejection");
 
     if (job.attempts >= options_.retry.max_attempts) {
-      job.state = Job::State::kRejected;
+      set_state(job_index, Job::State::kRejected);
       ++stats.rejected_final;
       counters.rejections->inc();
       flight(now, obs::FlightEventKind::kRejection, job.trace_id,
@@ -564,7 +583,7 @@ RuntimeReport ServingRuntime::run(const WorkloadTrace& trace) {
     }
 
     if (admitted) {
-      job.state = Job::State::kActive;
+      set_state(job_index, Job::State::kActive);
       job.readmitting = false;
       job.plan = std::move(task_plan);
       job.admitted_task = std::move(task);
@@ -581,7 +600,7 @@ RuntimeReport ServingRuntime::run(const WorkloadTrace& trace) {
       return;
     }
     if (job.attempts >= options_.retry.max_attempts) {
-      job.state = Job::State::kRejected;
+      set_state(job_index, Job::State::kRejected);
       ++report.faults.displaced_rejected;
       fault_rejections_total->inc();
       flight(now, obs::FlightEventKind::kRejection, job.trace_id,
@@ -623,7 +642,7 @@ RuntimeReport ServingRuntime::run(const WorkloadTrace& trace) {
     }
 
     if (admitted) {
-      job.state = Job::State::kActive;
+      set_state(job_index, Job::State::kActive);
       job.sched_preempted = false;  // this preemption is resolved
       job.plan = std::move(task_plan);
       job.admitted_task = std::move(task);
@@ -636,7 +655,7 @@ RuntimeReport ServingRuntime::run(const WorkloadTrace& trace) {
       return;
     }
     if (job.attempts >= options_.retry.max_attempts) {
-      job.state = Job::State::kRejected;
+      set_state(job_index, Job::State::kRejected);
       ++report.sched.preempted_rejected;
       flight(now, obs::FlightEventKind::kRejection, job.trace_id,
              job.attempts, 0.0, "sched_exhausted");
@@ -657,9 +676,7 @@ RuntimeReport ServingRuntime::run(const WorkloadTrace& trace) {
   // job.priority equals the template priority whenever scheduling (or QoS)
   // is off, so the order is unchanged on pre-sched configurations.
   auto displacement_order = [&] {
-    std::vector<std::size_t> order;
-    for (std::size_t j = 0; j < jobs.size(); ++j)
-      if (jobs[j].state == Job::State::kActive) order.push_back(j);
+    std::vector<std::size_t> order(active.begin(), active.end());
     std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
       if (jobs[a].priority != jobs[b].priority)
         return jobs[a].priority > jobs[b].priority;
@@ -670,7 +687,7 @@ RuntimeReport ServingRuntime::run(const WorkloadTrace& trace) {
 
   auto displace = [&](std::size_t job_index, double now) {
     Job& job = jobs[job_index];
-    job.state = Job::State::kPending;
+    set_state(job_index, Job::State::kPending);
     job.readmitting = true;
     // A fault displacement supersedes a pending ladder preemption: the
     // job re-enters through the fault readmission path.
@@ -759,10 +776,10 @@ RuntimeReport ServingRuntime::run(const WorkloadTrace& trace) {
 
     core::DeploymentPlan live;
     std::unordered_map<std::string, std::size_t> class_by_name;
-    for (const Job& job : jobs) {
-      if (job.state != Job::State::kActive) continue;
-      live.tasks.push_back(job.plan);
-      class_by_name.emplace(job.name, job.class_index);
+    live.tasks.reserve(active.size());
+    for (const std::size_t j : active) {
+      live.tasks.push_back(jobs[j].plan);
+      class_by_name.emplace(jobs[j].name, jobs[j].class_index);
     }
     snapshot.active_tasks = live.tasks.size();
 
@@ -929,7 +946,7 @@ RuntimeReport ServingRuntime::run(const WorkloadTrace& trace) {
           else
             ++stats.departed_before_admission;
         }
-        job.state = Job::State::kDeparted;
+        set_state(event.job, Job::State::kDeparted);
         if (sched_on) deadline_monitor.on_departed(job.trace_id);
         break;
       }

@@ -305,9 +305,10 @@ WorkloadTrace read_trace(std::istream& in) {
       trace.horizon_s;
   expect_keyword(reader, reader.next("templates"), "templates") >>
       trace.template_count;
+  // The event count is untrusted input: events are appended as they are
+  // read, so memory grows with the file, never with the header's claim.
   std::size_t count = 0;
   expect_keyword(reader, reader.next("events"), "events") >> count;
-  trace.events.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     std::istringstream stream =
         expect_keyword(reader, reader.next("event"), "event");

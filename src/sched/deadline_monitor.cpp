@@ -20,8 +20,9 @@ void DeadlineMonitor::track(std::uint64_t job, double arrival_s,
   Entry e;
   e.arrival_s = arrival_s;
   e.deadline_s = deadline_s;
-  if (!entries_.emplace(job, e).second)
-    throw std::logic_error("DeadlineMonitor: job tracked twice");
+  const auto [it, inserted] = entries_.emplace(job, e);
+  if (!inserted) throw std::logic_error("DeadlineMonitor: job tracked twice");
+  count(it->second, true);
 }
 
 DeadlineMonitor::Entry& DeadlineMonitor::entry(std::uint64_t job) {
@@ -39,25 +40,35 @@ const DeadlineMonitor::Entry& DeadlineMonitor::entry(
   return it->second;
 }
 
+template <typename Mutate>
+void DeadlineMonitor::update(std::uint64_t job, Mutate mutate) {
+  Entry& e = entry(job);
+  count(e, false);
+  mutate(e);
+  count(e, true);
+}
+
 void DeadlineMonitor::on_admitted(std::uint64_t job, double now,
                                   bool downgraded) {
-  Entry& e = entry(job);
-  if (!e.admitted) {
-    e.admitted = true;
-    e.first_admitted_s = now;
-  }
-  e.serving = true;
-  if (downgraded) e.ever_downgraded = true;
+  update(job, [&](Entry& e) {
+    if (!e.admitted) {
+      e.admitted = true;
+      e.first_admitted_s = now;
+    }
+    e.serving = true;
+    if (downgraded) e.ever_downgraded = true;
+  });
 }
 
 void DeadlineMonitor::on_downgraded(std::uint64_t job) {
-  entry(job).ever_downgraded = true;
+  update(job, [](Entry& e) { e.ever_downgraded = true; });
 }
 
 void DeadlineMonitor::on_preempted(std::uint64_t job) {
-  Entry& e = entry(job);
-  e.serving = false;
-  e.ever_preempted = true;
+  update(job, [](Entry& e) {
+    e.serving = false;
+    e.ever_preempted = true;
+  });
 }
 
 void DeadlineMonitor::on_readmitted(std::uint64_t job, double now,
@@ -66,18 +77,20 @@ void DeadlineMonitor::on_readmitted(std::uint64_t job, double now,
 }
 
 void DeadlineMonitor::on_rejected(std::uint64_t job) {
-  Entry& e = entry(job);
-  e.rejected_final = true;
-  e.serving = false;
+  update(job, [](Entry& e) {
+    e.rejected_final = true;
+    e.serving = false;
+  });
 }
 
 void DeadlineMonitor::on_departed(std::uint64_t job) {
-  Entry& e = entry(job);
-  e.departed = true;
-  if (e.serving) {
-    e.departed_serving = true;
-    e.serving = false;
-  }
+  update(job, [](Entry& e) {
+    e.departed = true;
+    if (e.serving) {
+      e.departed_serving = true;
+      e.serving = false;
+    }
+  });
 }
 
 DeadlineBucket DeadlineMonitor::classify(const Entry& e) {
@@ -95,38 +108,34 @@ DeadlineBucket DeadlineMonitor::bucket(std::uint64_t job) const {
   return classify(entry(job));
 }
 
-SchedEpochBuckets DeadlineMonitor::snapshot(double now) const {
-  SchedEpochBuckets s;
-  s.time_s = now;
-  for (const auto& [job, e] : entries_) {
-    (void)job;
-    if (e.serving) ++s.serving;
-    if (!e.admitted && !e.rejected_final && !e.departed) {
-      ++s.pending;  // still awaiting first admission — no bucket yet
-      continue;
-    }
-    switch (classify(e)) {
-      case DeadlineBucket::kMet: ++s.met; break;
-      case DeadlineBucket::kMissed: ++s.missed; break;
-      case DeadlineBucket::kPreempted: ++s.preempted; break;
-      case DeadlineBucket::kDowngraded: ++s.downgraded; break;
-      case DeadlineBucket::kRejected: ++s.rejected; break;
-    }
+void DeadlineMonitor::count(const Entry& e, bool add) {
+  const auto bump = [add](std::size_t& n) { add ? ++n : --n; };
+  if (e.serving) bump(counts_.serving);
+  if (!e.admitted && !e.rejected_final && !e.departed) {
+    bump(counts_.pending);  // still awaiting first admission — no bucket yet
+    return;
   }
+  switch (classify(e)) {
+    case DeadlineBucket::kMet: bump(counts_.met); break;
+    case DeadlineBucket::kMissed: bump(counts_.missed); break;
+    case DeadlineBucket::kPreempted: bump(counts_.preempted); break;
+    case DeadlineBucket::kDowngraded: bump(counts_.downgraded); break;
+    case DeadlineBucket::kRejected: bump(counts_.rejected); break;
+  }
+}
+
+SchedEpochBuckets DeadlineMonitor::snapshot(double now) const {
+  SchedEpochBuckets s = counts_;
+  s.time_s = now;
   return s;
 }
 
 void DeadlineMonitor::finalize(SchedStats& stats) const {
-  for (const auto& [job, e] : entries_) {
-    (void)job;
-    switch (classify(e)) {
-      case DeadlineBucket::kMet: ++stats.met; break;
-      case DeadlineBucket::kMissed: ++stats.missed; break;
-      case DeadlineBucket::kPreempted: ++stats.preempted; break;
-      case DeadlineBucket::kDowngraded: ++stats.downgraded; break;
-      case DeadlineBucket::kRejected: ++stats.rejected; break;
-    }
-  }
+  stats.met += counts_.met;
+  stats.missed += counts_.missed;
+  stats.preempted += counts_.preempted;
+  stats.downgraded += counts_.downgraded;
+  stats.rejected += counts_.rejected + counts_.pending;
 }
 
 }  // namespace odn::sched

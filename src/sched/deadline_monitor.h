@@ -13,6 +13,10 @@
 // Because the precedence is total and every tracked job matches one rung,
 //   met + missed + preempted + downgraded + rejected == arrivals
 // holds by construction (the property test pins it across seeds).
+//
+// The monitor keeps its epoch-snapshot counts current on every call: each
+// mutation subtracts the job's old classification and adds the new one, so
+// snapshot() and finalize() cost O(1) however many jobs a run tracks.
 #pragma once
 
 #include <cstddef>
@@ -61,10 +65,11 @@ class DeadlineMonitor {
   DeadlineBucket bucket(std::uint64_t job) const;
 
   // Epoch-boundary classification of every tracked job (see
-  // SchedEpochBuckets for the serving/pending split).
+  // SchedEpochBuckets for the serving/pending split). O(1).
   SchedEpochBuckets snapshot(double now) const;
 
-  // End-of-run: adds every job's final bucket to `stats`.
+  // End-of-run: adds every job's final bucket to `stats` (a job still
+  // pending has never been served, so it counts as rejected). O(1).
   void finalize(SchedStats& stats) const;
 
   std::size_t tracked() const noexcept { return entries_.size(); }
@@ -86,8 +91,15 @@ class DeadlineMonitor {
   Entry& entry(std::uint64_t job);
   const Entry& entry(std::uint64_t job) const;
   static DeadlineBucket classify(const Entry& e);
+  // Adds (or, with add == false, removes) `e`'s snapshot classification
+  // to counts_.
+  void count(const Entry& e, bool add);
+  // Applies `mutate` to the job's entry, moving it between the counts.
+  template <typename Mutate>
+  void update(std::uint64_t job, Mutate mutate);
 
   std::unordered_map<std::uint64_t, Entry> entries_;
+  SchedEpochBuckets counts_;  // time_s unused
 };
 
 }  // namespace odn::sched

@@ -75,9 +75,9 @@ LadderOutcome run_preemption_ladder(
     return host.probe(std::move(requests));
   };
   auto release_or_throw = [&](const SchedCandidate& victim) {
-    if (!host.release(victim.task.spec.name))
+    if (!host.release(victim.task->spec.name))
       throw std::logic_error("preemption ladder: candidate '" +
-                             victim.task.spec.name + "' is not served");
+                             victim.task->spec.name + "' is not served");
   };
 
   // Rung 1: admit as-is.
@@ -114,18 +114,18 @@ LadderOutcome run_preemption_ladder(
     for (auto it = released.rbegin(); it != released.rend(); ++it) {
       const SchedCandidate* victim = *it;
       ++out.rollbacks;
-      const core::DeploymentPlan restored = host.commit({victim->task});
+      const core::DeploymentPlan restored = host.commit({*victim->task});
       const core::TaskPlan* plan =
-          find_task_plan(restored, victim->task.spec.name);
+          find_task_plan(restored, victim->task->spec.name);
       if (plan != nullptr && plan->admitted) {
         upsert(out.victims,
                VictimOutcome{victim->id, VictimOutcome::Fate::kRestored,
-                             victim->task, *plan});
+                             *victim->task, *plan});
       } else {
         gone.insert(victim->id);
         upsert(out.victims,
                VictimOutcome{victim->id, VictimOutcome::Fate::kPreempted,
-                             victim->task, core::TaskPlan{}});
+                             *victim->task, core::TaskPlan{}});
       }
     }
   };
@@ -145,7 +145,7 @@ LadderOutcome run_preemption_ladder(
       release_or_throw(*victim);
       released.push_back(victim);
       downgraded.push_back(downgrade_spec(
-          victim->task, options.downgrade_accuracy_factor));
+          *victim->task, options.downgrade_accuracy_factor));
 
       std::vector<core::DotTask> requests;
       requests.reserve(1 + downgraded.size());
@@ -160,9 +160,9 @@ LadderOutcome run_preemption_ladder(
         fail_probe_commit_divergence(arrival.spec.name);
       for (std::size_t i = 0; i < released.size(); ++i) {
         const core::TaskPlan* victim_plan =
-            find_task_plan(committed, released[i]->task.spec.name);
+            find_task_plan(committed, released[i]->task->spec.name);
         if (victim_plan == nullptr || !victim_plan->admitted)
-          fail_probe_commit_divergence(released[i]->task.spec.name);
+          fail_probe_commit_divergence(released[i]->task->spec.name);
         upsert(out.victims,
                VictimOutcome{released[i]->id,
                              VictimOutcome::Fate::kDowngraded, downgraded[i],
@@ -197,7 +197,7 @@ LadderOutcome run_preemption_ladder(
       for (const SchedCandidate* evicted : released)
         upsert(out.victims,
                VictimOutcome{evicted->id, VictimOutcome::Fate::kPreempted,
-                             evicted->task, core::TaskPlan{}});
+                             *evicted->task, core::TaskPlan{}});
       out.action = SchedAction::kPreempt;
       out.plan = *plan;
       return out;

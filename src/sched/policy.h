@@ -89,10 +89,17 @@ class ControllerSchedHost : public SchedHost {
 };
 
 // A served task the ladder may act on.
+//
+// Lifetime: `task` is a non-owning view of the caller's record of the
+// served spec (the runtimes point it at the job's admitted task, so
+// building the candidate list copies no DotTask). The pointee must stay
+// alive and unmodified until run_preemption_ladder returns; the ladder
+// only reads it, and copies it into any VictimOutcome it reports, so the
+// caller may update its records from the outcome afterwards.
 struct SchedCandidate {
   std::uint64_t id = 0;    // trace job id — the deterministic tie-break
   double priority = 0.0;   // effective job priority (QoS or template)
-  core::DotTask task;      // the spec the task is currently served at
+  const core::DotTask* task = nullptr;  // spec currently served (not owned)
   bool downgraded = false; // already re-shaped by an earlier ladder
 };
 
@@ -128,7 +135,8 @@ struct LadderOutcome {
 core::DotTask downgrade_spec(core::DotTask task, double factor);
 
 // Runs the ladder for `arrival` against `candidates` (the currently served
-// jobs). Serial; mutates host state through commit/release only.
+// jobs; every `task` non-null, see SchedCandidate). Serial; mutates host
+// state through commit/release only, never the candidates' tasks.
 LadderOutcome run_preemption_ladder(SchedHost& host,
                                     const core::DotTask& arrival,
                                     const std::vector<SchedCandidate>& candidates,

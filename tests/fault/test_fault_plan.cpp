@@ -3,9 +3,12 @@
 // ODN-FAULTS text format.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "fault/fault_plan.h"
+#include "runtime/serving_runtime.h"
 
 namespace odn::fault {
 namespace {
@@ -69,6 +72,52 @@ TEST(FaultPlan, RejectsDoubleOnsetOfSameClass) {
   plan.events = {{2.0, FaultEventKind::kCellCrash, 0, 1.0},
                  {4.0, FaultEventKind::kCellCrash, 0, 1.0}};
   EXPECT_THROW(plan.validate(), std::invalid_argument);
+}
+
+// Hostile cell counts: validate() tracks open faults only for the cells
+// the events touch, so a plan file's `cells` line cannot make it allocate
+// (or overflow a cell * 4 index) in proportion to the stated count.
+constexpr std::size_t kHugeCells = std::numeric_limits<std::size_t>::max();
+
+TEST(FaultPlan, HugeCellCountValidatesWithoutPerCellAllocation) {
+  FaultPlan plan;
+  plan.horizon_s = 10.0;
+  plan.cell_count = kHugeCells;
+  plan.events = {{2.0, FaultEventKind::kCellCrash, kHugeCells - 1, 1.0},
+                 {4.0, FaultEventKind::kCellRecover, kHugeCells - 1, 1.0}};
+  EXPECT_NO_THROW(plan.validate());
+}
+
+TEST(FaultPlan, HugeCellCountStillChecksAlternation) {
+  FaultPlan plan;
+  plan.horizon_s = 10.0;
+  plan.cell_count = kHugeCells;
+  plan.events = {{2.0, FaultEventKind::kCellRecover, kHugeCells - 1, 1.0}};
+  EXPECT_THROW(plan.validate(), std::invalid_argument);
+}
+
+TEST(FaultPlan, CellsWhoseTimesFourWrapAreDistinct) {
+  // Cells 1 and 2^62 + 1 share a slot under a wrapping cell * 4 index; a
+  // crash on each is two independent onsets, not a double onset.
+  const std::size_t aliased = (kHugeCells / 4) + 2;
+  FaultPlan plan;
+  plan.horizon_s = 10.0;
+  plan.cell_count = kHugeCells;
+  plan.events = {{2.0, FaultEventKind::kCellCrash, 1, 1.0},
+                 {2.0, FaultEventKind::kCellCrash, aliased, 1.0}};
+  EXPECT_NO_THROW(plan.validate());
+}
+
+TEST(FaultPlan, RuntimesRejectAHugeCellCount) {
+  // A huge plan validates cheaply, but no runtime serves that many cells:
+  // the single-cell runtime refuses it before any per-cell state exists.
+  FaultPlan plan;
+  plan.horizon_s = 10.0;
+  plan.cell_count = kHugeCells;
+  plan.events = {{2.0, FaultEventKind::kCellCrash, 0, 1.0}};
+  runtime::RuntimeOptions options;
+  options.faults = plan;
+  EXPECT_THROW(options.validate(), std::invalid_argument);
 }
 
 TEST(FaultPlan, AllowsMissingRecoveryAtHorizon) {
@@ -180,6 +229,35 @@ TEST(FaultPlanIo, GeneratedPlanRoundTripsBitExactly) {
 TEST(FaultPlanIo, RejectsGarbage) {
   std::stringstream stream("not a fault plan\n");
   EXPECT_THROW(read_fault_plan(stream), std::runtime_error);
+}
+
+TEST(FaultPlanIo, HostileEventCountFailsWithoutAllocating) {
+  // The header claims 2^60 events but the file holds one: the parser must
+  // fail on the missing record (its std::runtime_error with a line number)
+  // instead of reserving memory for the claimed count.
+  std::stringstream stream(
+      "ODN-FAULTS 1\nname x\nhorizon 10\ncells 1\n"
+      "events 1152921504606846976\nevent 2 crash 0 1\n");
+  EXPECT_THROW(read_fault_plan(stream), std::runtime_error);
+}
+
+TEST(FaultPlanIo, HostileCellCountParsesCheaplyOrFails) {
+  // cells = SIZE_MAX: a malformed plan fails validation (surfaced as the
+  // parser's std::runtime_error), a well-formed one parses without any
+  // per-cell allocation.
+  const std::string max = std::to_string(kHugeCells);
+  {
+    std::stringstream stream("ODN-FAULTS 1\nname x\nhorizon 10\ncells " +
+                             max + "\nevents 1\nevent 2 recover 7 1\n");
+    EXPECT_THROW(read_fault_plan(stream), std::runtime_error);
+  }
+  {
+    std::stringstream stream("ODN-FAULTS 1\nname x\nhorizon 10\ncells " +
+                             max + "\nevents 1\nevent 2 crash 7 1\n");
+    const FaultPlan plan = read_fault_plan(stream);
+    EXPECT_EQ(plan.cell_count, kHugeCells);
+    EXPECT_EQ(plan.events.size(), 1u);
+  }
 }
 
 TEST(FaultPlanIo, MissingFileThrows) {

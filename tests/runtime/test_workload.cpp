@@ -161,6 +161,16 @@ TEST(Workload, ReadRejectsMalformedInput) {
   }
 }
 
+TEST(Workload, ReadFailsOnAHostileEventCountWithoutAllocating) {
+  // The header claims 2^60 events but the file holds one: the parser must
+  // fail on the missing record (its std::runtime_error with a line number)
+  // instead of reserving memory for the claimed count.
+  std::stringstream in(
+      "ODN-TRACE 1\nname x\nhorizon 10\ntemplates 1\n"
+      "events 1152921504606846976\nevent 1.0 A 0 0\n");
+  EXPECT_THROW(read_trace(in), std::runtime_error);
+}
+
 TEST(Workload, GeneratorRejectsBadOptions) {
   WorkloadOptions options;
   EXPECT_THROW(generate_workload(0, options), std::invalid_argument);

@@ -6,6 +6,7 @@
 // solver and close the loop with the no-orphaned-resources invariant.
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -121,12 +122,22 @@ core::DotTask make_task(const std::string& name, double priority,
   return task;
 }
 
+// Candidates only point at their tasks (SchedCandidate's lifetime
+// contract), so the tests park every candidate task here. A deque never
+// relocates its elements on push_back, so each pointer stays valid for the
+// rest of the test binary.
+const core::DotTask* stable_task(core::DotTask task) {
+  static std::deque<core::DotTask> storage;
+  storage.push_back(std::move(task));
+  return &storage.back();
+}
+
 SchedCandidate make_candidate(std::uint64_t id, double priority,
                               core::DotTask task) {
   SchedCandidate candidate;
   candidate.id = id;
   candidate.priority = priority;
-  candidate.task = std::move(task);
+  candidate.task = stable_task(std::move(task));
   return candidate;
 }
 
@@ -151,6 +162,37 @@ TEST(PreemptionLadder, AdmitsAsIsWhenTheArrivalFits) {
   EXPECT_EQ(outcome.probes, 1u);
   EXPECT_EQ(outcome.rollbacks, 0u);
   EXPECT_TRUE(host.serves("arrival"));
+}
+
+TEST(PreemptionLadder, RungOneAdmitLeavesPresentCandidatesUntouched) {
+  // Served candidates are offered, but the arrival fits as-is: the ladder
+  // must stop at rung 1 without releasing anyone or reporting any victim
+  // outcome, and the candidates' tasks stay exactly as the caller holds
+  // them (the ladder reads them through the pointer, never writes).
+  FakeHost host;
+  host.weight = {{"a", 2.0}, {"b", 2.0}, {"arrival", 3.0}};
+  host.commit({make_task("a", 0.1, 0.9)});
+  host.commit({make_task("b", 0.2)});
+
+  const std::vector<SchedCandidate> candidates = {
+      make_candidate(1, 0.1, make_task("a", 0.1, 0.9)),
+      make_candidate(2, 0.2, make_task("b", 0.2)),
+  };
+  const LadderOutcome outcome = run_preemption_ladder(
+      host, make_task("arrival", 0.9), candidates, SchedOptions{});
+
+  EXPECT_EQ(outcome.action, SchedAction::kAdmit);
+  EXPECT_TRUE(outcome.plan.admitted);
+  EXPECT_TRUE(outcome.victims.empty());
+  EXPECT_EQ(outcome.probes, 1u);
+  EXPECT_EQ(outcome.rollbacks, 0u);
+  EXPECT_TRUE(host.release_log.empty());
+  EXPECT_TRUE(host.serves("a"));
+  EXPECT_TRUE(host.serves("b"));
+  EXPECT_TRUE(host.serves("arrival"));
+  EXPECT_EQ(candidates[0].task->spec.name, "a");
+  EXPECT_DOUBLE_EQ(candidates[0].task->spec.min_accuracy, 0.9);
+  EXPECT_EQ(candidates[1].task->spec.name, "b");
 }
 
 TEST(PreemptionLadder, VictimOrderIsPriorityThenIdAndHigherIsUntouchable) {
@@ -392,7 +434,7 @@ TEST_F(ControllerLadderTest, InfeasibleArrivalRollsBackToTheExactState) {
   SchedCandidate candidate;
   candidate.id = 0;
   candidate.priority = 0.0;  // strictly below the arrival: eligible
-  candidate.task = instance_.tasks[0];
+  candidate.task = &instance_.tasks[0];
 
   const LadderOutcome outcome = run_preemption_ladder(
       host_, impossible, {candidate}, SchedOptions{});
