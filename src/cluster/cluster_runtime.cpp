@@ -183,8 +183,8 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
   const std::size_t class_count = options_.class_names.size();
 
   // The catalog is fixed for the whole run: one digest up front serves
-  // every admission's cache keys instead of one O(blocks) encode per
-  // admission. Skipped when no cache would read it.
+  // every admission's and migration's cache keys instead of one O(blocks)
+  // encode per call. Skipped when no cache would read it.
   core::Fingerprint catalog_fp;
   const core::Fingerprint* catalog_fp_ptr = nullptr;
   if (dispatcher_.plan_cache() != nullptr ||
@@ -912,7 +912,7 @@ ClusterReport ClusterRuntime::run(const runtime::WorkloadTrace& trace) {
           for (const std::size_t target : targets) {
             core::TaskPlan migrated_plan;
             if (dispatcher_.migrate(catalog_, job.admitted_task, job.name,
-                                    target, &migrated_plan)) {
+                                    target, &migrated_plan, catalog_fp_ptr)) {
               flight(now, obs::FlightEventKind::kMigration, job.trace_id,
                      static_cast<std::int64_t>(target),
                      static_cast<std::uint64_t>(source));

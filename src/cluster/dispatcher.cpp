@@ -351,7 +351,8 @@ bool ClusterDispatcher::migrate(const edge::DnnCatalog& catalog,
                                 const core::DotTask& task,
                                 const std::string& task_name,
                                 std::size_t target,
-                                core::TaskPlan* migrated_plan) {
+                                core::TaskPlan* migrated_plan,
+                                const core::Fingerprint* digest) {
   ODN_TRACE_SPAN("cluster", "cluster.migrate");
   if (task.spec.name != task_name)
     throw std::invalid_argument(
@@ -364,12 +365,12 @@ bool ClusterDispatcher::migrate(const edge::DnnCatalog& catalog,
   // Probe first: the event loop is serial, so the target cell's state
   // cannot change between the probe and the admission below — a positive
   // probe guarantees the re-admission lands and the task is never left
-  // without a cell.
-  core::Fingerprint digest;
-  const core::Fingerprint* digest_ptr = nullptr;
-  if (caching_enabled()) {
-    digest = core::catalog_digest(catalog);
-    digest_ptr = &digest;
+  // without a cell. One catalog digest serves both, as in admit().
+  core::Fingerprint digest_local;
+  const core::Fingerprint* digest_ptr = digest;
+  if (digest_ptr == nullptr && caching_enabled()) {
+    digest_local = core::catalog_digest(catalog);
+    digest_ptr = &digest_local;
   }
   const core::DeploymentPlan probe =
       cells_[target].controller().probe_incremental(catalog, {task},

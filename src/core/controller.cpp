@@ -191,6 +191,23 @@ std::string OffloadnnController::plan_key(
   return writer.take();
 }
 
+const edge::DnnCatalog& OffloadnnController::patched_catalog(
+    const edge::DnnCatalog& catalog) const {
+  // The memo's source copy pins the caller's table (a shared table is never
+  // mutated in place), so table identity proves equal content.
+  if (!patched_source_.shares_blocks_with(catalog) ||
+      patched_deployed_ != deployed_blocks_) {
+    // Already-deployed blocks are free: they are resident and trained (the
+    // paper's dynamic-scenario rule). Zeroing them clones the shared table
+    // once; every plan until the deployed set changes reuses the result.
+    patched_source_ = catalog;
+    patched_deployed_ = deployed_blocks_;
+    patched_ = catalog;
+    for (const edge::BlockIndex b : deployed_blocks_) patched_.mark_deployed(b);
+  }
+  return patched_;
+}
+
 DeploymentPlan OffloadnnController::plan(const edge::DnnCatalog& catalog,
                                          std::vector<DotTask> requests,
                                          bool incremental, bool use_plan_cache,
@@ -236,10 +253,11 @@ DeploymentPlan OffloadnnController::plan(const edge::DnnCatalog& catalog,
   }
 
   // Step 2: assemble the DOT inputs — block availability and the (possibly
-  // discounted) resource capacities.
+  // discounted) resource capacities. Catalogs share their block table, so
+  // either assignment is O(1).
   DotInstance instance;
   instance.name = incremental ? "controller-incremental" : "controller";
-  instance.catalog = catalog;
+  instance.catalog = incremental ? patched_catalog(catalog) : catalog;
   instance.tasks = std::move(requests);
   instance.resources = resources_;
   instance.radio = radio_;
@@ -254,12 +272,6 @@ DeploymentPlan OffloadnnController::plan(const edge::DnnCatalog& catalog,
         resources_.total_rbs > ledger_.rbs_used()
             ? resources_.total_rbs - ledger_.rbs_used()
             : 1;
-    // Already-deployed blocks are free: they are resident and trained
-    // (the paper's dynamic-scenario rule). The patch zeroes them in place
-    // on the instance's private copy — O(deployed), not O(blocks), which
-    // matters when probes fan this out per admission.
-    for (const edge::BlockIndex b : deployed_blocks_)
-      instance.catalog.mark_deployed(b);
   }
   instance.finalize();
 

@@ -73,6 +73,11 @@ struct DeploymentPlan {
   std::size_t rbs_committed = 0;
 };
 
+// Thread rule: a controller is touched by one thread at a time, const
+// probes included — they write the `mutable` accelerators (solver memo,
+// patched-catalog memo) without locks. Concurrent probes must therefore
+// target different controllers, as the cluster fan-out does (each cell in
+// exactly one lane).
 class OffloadnnController {
  public:
   struct Options {
@@ -192,6 +197,11 @@ class OffloadnnController {
   void commit(const DeploymentPlan& plan, const edge::DnnCatalog& catalog);
   // Recomputes the ledger and deployed-block list from active_tasks_.
   void rebuild_ledger();
+  // `catalog` with every deployed block's µ and ct zeroed — the catalog an
+  // incremental solve sees. Memoized: rebuilt only when the deployed set
+  // or the caller's block table (by identity) differs from the last call.
+  const edge::DnnCatalog& patched_catalog(
+      const edge::DnnCatalog& catalog) const;
 
   edge::EdgeResources resources_;
   edge::RadioModel radio_;
@@ -207,6 +217,12 @@ class OffloadnnController {
   // can never falsely hit — warmth only ever changes speed, not bits.
   mutable std::shared_ptr<PlanCache> plan_cache_;
   mutable std::unique_ptr<SolverCache> solver_cache_;
+  // patched_catalog() memo: the patched catalog, the caller catalog it was
+  // built from (a copy, which pins that block table) and the deployed set
+  // it zeroed.
+  mutable edge::DnnCatalog patched_;
+  mutable edge::DnnCatalog patched_source_;
+  mutable std::vector<edge::BlockIndex> patched_deployed_;
 };
 
 }  // namespace odn::core

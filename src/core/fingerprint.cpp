@@ -42,16 +42,6 @@ Fingerprint fingerprint_bytes(std::string_view bytes) {
   return Fingerprint{a, b};
 }
 
-void CanonicalWriter::u32(std::uint32_t value) {
-  for (int shift = 0; shift < 32; shift += 8)
-    buffer_.push_back(static_cast<char>((value >> shift) & 0xFF));
-}
-
-void CanonicalWriter::u64(std::uint64_t value) {
-  for (int shift = 0; shift < 64; shift += 8)
-    buffer_.push_back(static_cast<char>((value >> shift) & 0xFF));
-}
-
 void CanonicalWriter::f64(double value) {
   u64(std::bit_cast<std::uint64_t>(value));
 }

@@ -56,8 +56,8 @@ Fingerprint fingerprint_bytes(std::string_view bytes);
 class CanonicalWriter {
  public:
   void u8(std::uint8_t value) { buffer_.push_back(static_cast<char>(value)); }
-  void u32(std::uint32_t value);
-  void u64(std::uint64_t value);
+  void u32(std::uint32_t value) { append_le<4>(value); }
+  void u64(std::uint64_t value) { append_le<8>(value); }
   void f64(double value);
   void size(std::size_t value) { u64(static_cast<std::uint64_t>(value)); }
   void boolean(bool value) { u8(value ? 1 : 0); }
@@ -68,6 +68,16 @@ class CanonicalWriter {
   Fingerprint fingerprint() const { return fingerprint_bytes(buffer_); }
 
  private:
+  // The low N bytes of `value`, little-endian, in one append (the compiler
+  // folds the byte loop into a single store).
+  template <std::size_t N>
+  void append_le(std::uint64_t value) {
+    char bytes[N];
+    for (std::size_t i = 0; i < N; ++i)
+      bytes[i] = static_cast<char>(value >> (8 * i));
+    buffer_.append(bytes, N);
+  }
+
   std::string buffer_;
 };
 

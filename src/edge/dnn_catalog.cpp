@@ -33,38 +33,53 @@ double DnnPath::unique_memory_bytes(
   return total;
 }
 
+std::vector<CatalogBlock>& DnnCatalog::own_blocks() {
+  if (blocks_ == nullptr)
+    blocks_ = std::make_shared<std::vector<CatalogBlock>>();
+  else if (blocks_.use_count() > 1)
+    blocks_ = std::make_shared<std::vector<CatalogBlock>>(*blocks_);
+  return *blocks_;
+}
+
+const std::vector<CatalogBlock>& DnnCatalog::blocks() const noexcept {
+  static const std::vector<CatalogBlock> kEmpty;
+  return blocks_ != nullptr ? *blocks_ : kEmpty;
+}
+
 BlockIndex DnnCatalog::add_block(CatalogBlock block) {
   if (block.inference_time_s < 0.0 || block.memory_bytes < 0.0 ||
       block.training_cost_s < 0.0)
     throw std::invalid_argument(
         util::fmt("DnnCatalog: negative cost on block '{}'", block.name));
-  blocks_.push_back(std::move(block));
-  return static_cast<BlockIndex>(blocks_.size() - 1);
+  std::vector<CatalogBlock>& table = own_blocks();
+  table.push_back(std::move(block));
+  return static_cast<BlockIndex>(table.size() - 1);
 }
 
 void DnnCatalog::mark_deployed(BlockIndex index) {
-  if (index >= blocks_.size())
+  if (index >= block_count())
     throw std::out_of_range(
         util::fmt("DnnCatalog: block index {} out of {}", index,
-                  blocks_.size()));
-  blocks_[index].memory_bytes = 0.0;
-  blocks_[index].training_cost_s = 0.0;
+                  block_count()));
+  CatalogBlock& block = own_blocks()[index];
+  block.memory_bytes = 0.0;
+  block.training_cost_s = 0.0;
 }
 
 const CatalogBlock& DnnCatalog::block(BlockIndex index) const {
-  if (index >= blocks_.size())
+  if (index >= block_count())
     throw std::out_of_range(
         util::fmt("DnnCatalog: block index {} out of {}", index,
-                  blocks_.size()));
-  return blocks_[index];
+                  block_count()));
+  return (*blocks_)[index];
 }
 
 double DnnCatalog::path_inference_time_s(const DnnPath& path) const {
-  return path.inference_time_s(blocks_);
+  return path.inference_time_s(blocks());
 }
 
 double DnnCatalog::path_memory_bytes(const DnnPath& path) const {
-  return path.unique_memory_bytes(blocks_);
+  return path.unique_memory_bytes(blocks());
 }
 
 double DnnCatalog::path_training_cost_s(const DnnPath& path) const {

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -61,19 +62,34 @@ struct DnnPath {
       const std::vector<CatalogBlock>& blocks_table) const;
 };
 
+// Copies of a catalog share one block table (copy-on-write): copying is
+// O(1), and add_block / mark_deployed clone the table only while another
+// catalog still reads it, so no copy ever observes another's mutation.
+// Several threads may read or copy one catalog at once; a write needs
+// exclusive access to that catalog object only, not to its copies.
 class DnnCatalog {
  public:
   BlockIndex add_block(CatalogBlock block);
 
   const CatalogBlock& block(BlockIndex index) const;
-  std::size_t block_count() const noexcept { return blocks_.size(); }
-  const std::vector<CatalogBlock>& blocks() const noexcept { return blocks_; }
+  std::size_t block_count() const noexcept {
+    return blocks_ != nullptr ? blocks_->size() : 0;
+  }
+  const std::vector<CatalogBlock>& blocks() const noexcept;
 
   // Zeroes µ(s) and ct(s) for an already-deployed block: it is resident
   // and trained, so an incremental solve sees it as free (the paper's
-  // dynamic-scenario rule). The controller applies this to its private
-  // instance copy in O(deployed) — repository catalogs are never mutated.
+  // dynamic-scenario rule). Only this catalog changes: copies that share
+  // its table keep the original costs. The controller applies this to its
+  // own patched copy of the caller's catalog, never to the caller's.
   void mark_deployed(BlockIndex index);
+
+  // True when both catalogs read the very same block table — identity,
+  // not equal content. A table is never mutated while shared, so a holder
+  // of a copy can use this to tell that `other` still has that content.
+  bool shares_blocks_with(const DnnCatalog& other) const noexcept {
+    return blocks_ == other.blocks_;
+  }
 
   // Sum of c(s) over a path's blocks.
   double path_inference_time_s(const DnnPath& path) const;
@@ -88,7 +104,11 @@ class DnnCatalog {
   void validate_path(const DnnPath& path) const;
 
  private:
-  std::vector<CatalogBlock> blocks_;
+  // The table this catalog may write: cloned first while it is shared.
+  std::vector<CatalogBlock>& own_blocks();
+
+  // nullptr reads as the empty table (default-constructed or moved-from).
+  std::shared_ptr<std::vector<CatalogBlock>> blocks_;
 };
 
 }  // namespace odn::edge

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <fstream>
 #include <limits>
 #include <ostream>
@@ -95,16 +96,18 @@ void FaultPlan::validate() const {
   if (cell_count == 0)
     throw std::invalid_argument(
         util::fmt("FaultPlan '{}': zero cells", name));
-  if (horizon_s < 0.0)
-    throw std::invalid_argument(
-        util::fmt("FaultPlan '{}': negative horizon", name));
+  if (!std::isfinite(horizon_s) || horizon_s < 0.0)
+    throw std::invalid_argument(util::fmt(
+        "FaultPlan '{}': horizon {} is not finite and non-negative", name,
+        horizon_s));
   // active[cell][class] tracks the open onset per (cell, fault class). It
   // is keyed by the cells the events touch, so its size is bounded by the
   // input rather than by cell_count (which a plan file states freely).
   std::unordered_map<std::size_t, std::array<bool, 4>> active;
   for (std::size_t i = 0; i < events.size(); ++i) {
     const FaultEvent& event = events[i];
-    if (event.time_s < 0.0 || event.time_s > horizon_s + 1e-9)
+    // Negated so a NaN time, for which every comparison is false, fails.
+    if (!(event.time_s >= 0.0 && event.time_s <= horizon_s + 1e-9))
       throw std::invalid_argument(
           util::fmt("FaultPlan '{}': event {} at t={} outside [0, {}]", name,
                     i, event.time_s, horizon_s));
@@ -121,10 +124,11 @@ void FaultPlan::validate() const {
             "FaultPlan '{}': event {} radio factor {} outside (0, 1]", name,
             i, event.magnitude));
     } else if (event.kind == FaultEventKind::kLatencyInflate) {
-      if (!(event.magnitude >= 1.0))
+      if (!std::isfinite(event.magnitude) || event.magnitude < 1.0)
         throw std::invalid_argument(util::fmt(
-            "FaultPlan '{}': event {} latency factor {} below 1", name, i,
-            event.magnitude));
+            "FaultPlan '{}': event {} latency factor {} is not finite and "
+            ">= 1",
+            name, i, event.magnitude));
     } else if (event.magnitude != 1.0) {
       throw std::invalid_argument(util::fmt(
           "FaultPlan '{}': event {} ({}) carries magnitude {}", name, i,
@@ -253,12 +257,17 @@ FaultPlan read_fault_plan(std::istream& in) {
         expect_keyword(reader, reader.next("name"), "name");
     std::getline(stream >> std::ws, plan.name);
   }
-  expect_keyword(reader, reader.next("horizon"), "horizon") >> plan.horizon_s;
-  expect_keyword(reader, reader.next("cells"), "cells") >> plan.cell_count;
+  if (!(expect_keyword(reader, reader.next("horizon"), "horizon") >>
+        plan.horizon_s))
+    reader.fail("malformed horizon");
+  if (!(expect_keyword(reader, reader.next("cells"), "cells") >>
+        plan.cell_count))
+    reader.fail("malformed cell count");
   // The event count is untrusted input: events are appended as they are
   // read, so memory grows with the file, never with the header's claim.
   std::size_t count = 0;
-  expect_keyword(reader, reader.next("events"), "events") >> count;
+  if (!(expect_keyword(reader, reader.next("events"), "events") >> count))
+    reader.fail("malformed event count");
   for (std::size_t i = 0; i < count; ++i) {
     std::istringstream stream =
         expect_keyword(reader, reader.next("event"), "event");

@@ -1,6 +1,7 @@
 #include "runtime/workload.h"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <limits>
 #include <ostream>
@@ -86,12 +87,18 @@ bool WorkloadTrace::has_qos() const noexcept {
 }
 
 void WorkloadTrace::validate() const {
+  if (!std::isfinite(horizon_s) || horizon_s < 0.0)
+    throw std::invalid_argument(util::fmt(
+        "WorkloadTrace '{}': horizon {} is not finite and non-negative", name,
+        horizon_s));
   std::vector<std::uint64_t> arrived;
   std::size_t arrivals = 0;
   std::size_t qos_arrivals = 0;
   for (std::size_t i = 0; i < events.size(); ++i) {
     const WorkloadEvent& event = events[i];
-    if (event.time_s < 0.0 || event.time_s > horizon_s + 1e-9)
+    // Checks are negated so NaN, for which every comparison is false,
+    // fails them.
+    if (!(event.time_s >= 0.0 && event.time_s <= horizon_s + 1e-9))
       throw std::invalid_argument(util::fmt(
           "WorkloadTrace '{}': event {} at t={} outside [0, {}]", name, i,
           event.time_s, horizon_s));
@@ -115,7 +122,7 @@ void WorkloadTrace::validate() const {
           throw std::invalid_argument(util::fmt(
               "WorkloadTrace '{}': job {} has non-positive deadline {}",
               name, event.job_id, event.deadline_s));
-        if (event.priority < 0.0 || event.priority > 1.0)
+        if (!(event.priority >= 0.0 && event.priority <= 1.0))
           throw std::invalid_argument(util::fmt(
               "WorkloadTrace '{}': job {} priority {} outside [0, 1]", name,
               event.job_id, event.priority));
@@ -301,14 +308,17 @@ WorkloadTrace read_trace(std::istream& in) {
         expect_keyword(reader, reader.next("name"), "name");
     std::getline(stream >> std::ws, trace.name);
   }
-  expect_keyword(reader, reader.next("horizon"), "horizon") >>
-      trace.horizon_s;
-  expect_keyword(reader, reader.next("templates"), "templates") >>
-      trace.template_count;
+  if (!(expect_keyword(reader, reader.next("horizon"), "horizon") >>
+        trace.horizon_s))
+    reader.fail("malformed horizon");
+  if (!(expect_keyword(reader, reader.next("templates"), "templates") >>
+        trace.template_count))
+    reader.fail("malformed template count");
   // The event count is untrusted input: events are appended as they are
   // read, so memory grows with the file, never with the header's claim.
   std::size_t count = 0;
-  expect_keyword(reader, reader.next("events"), "events") >> count;
+  if (!(expect_keyword(reader, reader.next("events"), "events") >> count))
+    reader.fail("malformed event count");
   for (std::size_t i = 0; i < count; ++i) {
     std::istringstream stream =
         expect_keyword(reader, reader.next("event"), "event");

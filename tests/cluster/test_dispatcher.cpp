@@ -2,7 +2,9 @@
 // migration primitive and the serial-vs-parallel cost_probe contract.
 #include <gtest/gtest.h>
 
+#include "../core/solver_equivalence.h"
 #include "cluster/dispatcher.h"
+#include "core/fingerprint.h"
 #include "core/scenarios.h"
 #include "util/thread_pool.h"
 
@@ -187,6 +189,95 @@ TEST_F(DispatcherTest, MigrateRefusesWithoutViableTarget) {
   EXPECT_FALSE(dispatcher.migrate(instance_.catalog, task, "t0", 0));
   const core::DotTask ghost = named_task(1, "ghost");
   EXPECT_FALSE(dispatcher.migrate(instance_.catalog, ghost, "ghost", 1));
+}
+
+TEST_F(DispatcherTest, MigrateWithDigestMatchesMigrateWithout) {
+  const core::Fingerprint digest = core::catalog_digest(instance_.catalog);
+  ClusterDispatcher with(equal_cells(3), instance_.radio, {},
+                         {.policy = PlacementPolicy::kFirstFit});
+  ClusterDispatcher without(equal_cells(3), instance_.radio, {},
+                            {.policy = PlacementPolicy::kFirstFit});
+  for (std::size_t t = 0; t < 3; ++t) {
+    const core::DotTask task = named_task(t, "t" + std::to_string(t));
+    ASSERT_TRUE(with.admit(instance_.catalog, task, &digest).admitted);
+    ASSERT_TRUE(without.admit(instance_.catalog, task).admitted);
+  }
+
+  std::size_t moved = 0;
+  for (std::size_t t = 0; t < 3; ++t) {
+    const std::string name = "t" + std::to_string(t);
+    const core::DotTask task = named_task(t, name);
+    const std::size_t target = 1 + t % 2;
+    core::TaskPlan plan_with;
+    core::TaskPlan plan_without;
+    const bool moved_with = with.migrate(instance_.catalog, task, name,
+                                         target, &plan_with, &digest);
+    const bool moved_without =
+        without.migrate(instance_.catalog, task, name, target, &plan_without);
+    EXPECT_EQ(moved_with, moved_without) << name;
+    moved += moved_with ? 1 : 0;
+    EXPECT_EQ(odn::testing::serialize_task_plan(plan_with),
+              odn::testing::serialize_task_plan(plan_without))
+        << name;
+    EXPECT_EQ(with.owner_of(name), without.owner_of(name)) << name;
+  }
+  for (std::size_t i = 0; i < with.cell_count(); ++i)
+    EXPECT_EQ(odn::testing::serialize_state(with.cell(i).controller()),
+              odn::testing::serialize_state(without.cell(i).controller()))
+        << "cell " << i;
+}
+
+// Parallel cost probes: every cell's controller builds its own patched
+// catalog from the one caller catalog on a pool lane, so the lanes share
+// that block table. The fan-out must match the serial loop byte for byte
+// (and stay race-free under TSan) with and without the shared plan cache.
+TEST(DispatcherParallelProbe, SharedCatalogFanOutMatchesSerial) {
+  const core::DotInstance world =
+      core::make_large_scenario(core::RequestRate::kLow);
+  edge::EdgeResources quarter = world.resources;
+  quarter.compute_capacity_s /= 4.0;
+  quarter.memory_capacity_bytes /= 4.0;
+  quarter.total_rbs /= 4;
+  std::vector<CellSpec> cells;
+  for (std::size_t i = 0; i < 4; ++i)
+    cells.push_back(CellSpec{"cell-" + std::to_string(i), quarter});
+
+  util::set_thread_count(4);
+  for (const bool plan_cache : {true, false}) {
+    core::OffloadnnController::Options controller;
+    controller.alpha = world.alpha;
+    ClusterDispatcher serial(cells, world.radio, controller,
+                             {.policy = PlacementPolicy::kCostProbe,
+                              .parallel_probe = false,
+                              .plan_cache = plan_cache});
+    ClusterDispatcher parallel(cells, world.radio, controller,
+                               {.policy = PlacementPolicy::kCostProbe,
+                                .parallel_probe = true,
+                                .plan_cache = plan_cache});
+    for (std::size_t step = 0; step < 3 * world.tasks.size(); ++step) {
+      const std::size_t t = step % world.tasks.size();
+      const std::string name = "job-" + std::to_string(step);
+      if (step >= 8 && step % 3 == 0) {
+        const std::string old = "job-" + std::to_string(step - 8);
+        EXPECT_EQ(serial.release(old), parallel.release(old)) << old;
+      }
+      core::DotTask task = world.tasks[t];
+      task.spec.name = name;
+      const AdmissionOutcome a = serial.admit(world.catalog, task);
+      const AdmissionOutcome b = parallel.admit(world.catalog, task);
+      EXPECT_EQ(a.admitted, b.admitted) << name;
+      EXPECT_EQ(a.cell, b.cell) << name;
+      EXPECT_EQ(a.preferred_cell, b.preferred_cell) << name;
+      EXPECT_EQ(odn::testing::serialize_task_plan(a.plan),
+                odn::testing::serialize_task_plan(b.plan))
+          << name;
+    }
+    for (std::size_t i = 0; i < serial.cell_count(); ++i)
+      EXPECT_EQ(odn::testing::serialize_state(serial.cell(i).controller()),
+                odn::testing::serialize_state(parallel.cell(i).controller()))
+          << "cell " << i << " plan_cache " << plan_cache;
+  }
+  util::set_thread_count(0);
 }
 
 }  // namespace

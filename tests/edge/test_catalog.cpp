@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/fingerprint.h"
+
 namespace odn::edge {
 namespace {
 
@@ -84,6 +86,100 @@ TEST(DnnPath, HelpersMatchCatalogMethods) {
                    catalog.path_inference_time_s(path));
   EXPECT_DOUBLE_EQ(path.unique_memory_bytes(catalog.blocks()),
                    catalog.path_memory_bytes(path));
+}
+
+// Copy-on-write block table: copies share it, and a mutation on either
+// side must never show through on the other.
+void expect_same_blocks(const DnnCatalog& a, const DnnCatalog& b) {
+  ASSERT_EQ(a.block_count(), b.block_count());
+  for (BlockIndex i = 0; i < a.block_count(); ++i) {
+    EXPECT_EQ(a.block(i).name, b.block(i).name);
+    EXPECT_EQ(a.block(i).kind, b.block(i).kind);
+    EXPECT_EQ(a.block(i).inference_time_s, b.block(i).inference_time_s);
+    EXPECT_EQ(a.block(i).memory_bytes, b.block(i).memory_bytes);
+    EXPECT_EQ(a.block(i).training_cost_s, b.block(i).training_cost_s);
+    EXPECT_EQ(a.block(i).architecture, b.block(i).architecture);
+  }
+  EXPECT_EQ(core::catalog_digest(a), core::catalog_digest(b));
+}
+
+TEST(DnnCatalogCopyOnWrite, CopiesShareUntilMutated) {
+  const DnnCatalog original = sample_catalog();
+  const DnnCatalog copy = original;
+  EXPECT_TRUE(copy.shares_blocks_with(original));
+  expect_same_blocks(copy, original);
+}
+
+TEST(DnnCatalogCopyOnWrite, MarkDeployedOnCopyLeavesOriginal) {
+  const DnnCatalog original = sample_catalog();
+  const DnnCatalog pristine = sample_catalog();  // separately built
+  const core::Fingerprint digest = core::catalog_digest(original);
+
+  DnnCatalog copy = original;
+  copy.mark_deployed(2);
+  EXPECT_FALSE(copy.shares_blocks_with(original));
+  EXPECT_EQ(copy.block(2).memory_bytes, 0.0);
+  EXPECT_EQ(copy.block(2).training_cost_s, 0.0);
+  expect_same_blocks(original, pristine);
+  EXPECT_EQ(core::catalog_digest(original), digest);
+  EXPECT_NE(core::catalog_digest(copy), digest);
+}
+
+TEST(DnnCatalogCopyOnWrite, MarkDeployedOnOriginalLeavesCopy) {
+  DnnCatalog original = sample_catalog();
+  const DnnCatalog copy = original;
+  const core::Fingerprint digest = core::catalog_digest(copy);
+
+  original.mark_deployed(0);
+  EXPECT_FALSE(copy.shares_blocks_with(original));
+  EXPECT_EQ(original.block(0).memory_bytes, 0.0);
+  expect_same_blocks(copy, sample_catalog());
+  EXPECT_EQ(core::catalog_digest(copy), digest);
+}
+
+TEST(DnnCatalogCopyOnWrite, AddBlockOnEitherSideLeavesTheOther) {
+  DnnCatalog original = sample_catalog();
+  DnnCatalog copy = original;
+  const core::Fingerprint digest = core::catalog_digest(original);
+
+  copy.add_block({"extra", BlockKind::kClassifier, 1e-4, 1e5, 1.0});
+  EXPECT_EQ(copy.block_count(), 5u);
+  expect_same_blocks(original, sample_catalog());
+  EXPECT_EQ(core::catalog_digest(original), digest);
+
+  const DnnCatalog before_add = copy;
+  original.add_block({"other", BlockKind::kPruned, 2e-4, 2e5, 2.0});
+  EXPECT_EQ(original.block(4).name, "other");
+  expect_same_blocks(copy, before_add);
+  EXPECT_EQ(copy.block(4).name, "extra");
+}
+
+TEST(DnnCatalogCopyOnWrite, UnsharedTableMutatesInPlace) {
+  DnnCatalog catalog = sample_catalog();
+  {
+    const DnnCatalog copy = catalog;
+    catalog.mark_deployed(1);  // shared: clones
+  }
+  // The copy is gone, so the table is this catalog's alone; further
+  // mutation must not disturb a copy taken afterwards either.
+  catalog.mark_deployed(3);
+  const DnnCatalog snapshot = catalog;
+  catalog.mark_deployed(0);
+  EXPECT_EQ(snapshot.block(0).memory_bytes, 10e6);
+  EXPECT_EQ(snapshot.block(1).memory_bytes, 0.0);
+  EXPECT_EQ(snapshot.block(3).memory_bytes, 0.0);
+  EXPECT_EQ(catalog.block(0).memory_bytes, 0.0);
+}
+
+TEST(DnnCatalogCopyOnWrite, MovedFromCatalogReadsEmpty) {
+  DnnCatalog source = sample_catalog();
+  const DnnCatalog moved = std::move(source);
+  EXPECT_EQ(moved.block_count(), 4u);
+  // A moved-from catalog is valid and empty; it can be refilled.
+  EXPECT_EQ(source.block_count(), 0u);
+  EXPECT_TRUE(source.blocks().empty());
+  EXPECT_EQ(source.add_block({"b", BlockKind::kSharedBase, 1e-3, 1e6, 0.0}),
+            0u);
 }
 
 }  // namespace

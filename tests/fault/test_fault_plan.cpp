@@ -145,6 +145,27 @@ TEST(FaultPlan, RejectsBadMagnitudes) {
   EXPECT_THROW(crash.validate(), std::invalid_argument);
 }
 
+TEST(FaultPlan, RejectsNonFiniteNumbers) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double horizon : {kNan, kInf}) {
+    FaultPlan plan;
+    plan.cell_count = 1;
+    plan.horizon_s = horizon;  // every comparison with NaN is false
+    EXPECT_THROW(plan.validate(), std::invalid_argument) << horizon;
+  }
+
+  FaultPlan at_nan = tiny_plan();
+  at_nan.events = {{kNan, FaultEventKind::kCellCrash, 0, 1.0}};
+  EXPECT_THROW(at_nan.validate(), std::invalid_argument);
+
+  for (const double factor : {kInf, kNan}) {
+    FaultPlan inflate = tiny_plan();
+    inflate.events = {{1.0, FaultEventKind::kLatencyInflate, 0, factor}};
+    EXPECT_THROW(inflate.validate(), std::invalid_argument) << factor;
+  }
+}
+
 TEST(FaultPlanGenerator, GeneratedPlansValidate) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     FaultPlanOptions options;
@@ -257,6 +278,30 @@ TEST(FaultPlanIo, HostileCellCountParsesCheaplyOrFails) {
     const FaultPlan plan = read_fault_plan(stream);
     EXPECT_EQ(plan.cell_count, kHugeCells);
     EXPECT_EQ(plan.events.size(), 1u);
+  }
+}
+
+// Each non-finite field, fed through the parser, fails with the parser's
+// std::runtime_error naming the line.
+TEST(FaultPlanIo, RejectsNonFiniteNumbers) {
+  const std::string header = "ODN-FAULTS 1\nname x\n";
+  const std::string inputs[] = {
+      header + "horizon nan\ncells 1\nevents 0\n",
+      header + "horizon inf\ncells 1\nevents 0\n",
+      header + "horizon 10\ncells 1\nevents 1\nevent nan crash 0 1\n",
+      header + "horizon 10\ncells 1\nevents 1\n"
+               "event 2 latency_inflate 0 inf\n",
+  };
+  for (const std::string& input : inputs) {
+    std::stringstream stream(input);
+    try {
+      (void)read_fault_plan(stream);
+      ADD_FAILURE() << "accepted: " << input;
+    } catch (const std::runtime_error& error) {
+      EXPECT_EQ(std::string(error.what()).rfind("read_fault_plan: line ", 0),
+                0u)
+          << error.what();
+    }
   }
 }
 

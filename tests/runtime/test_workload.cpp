@@ -3,7 +3,9 @@
 // platforms and refactors.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "runtime/workload.h"
 
@@ -169,6 +171,51 @@ TEST(Workload, ReadFailsOnAHostileEventCountWithoutAllocating) {
       "ODN-TRACE 1\nname x\nhorizon 10\ntemplates 1\n"
       "events 1152921504606846976\nevent 1.0 A 0 0\n");
   EXPECT_THROW(read_trace(in), std::runtime_error);
+}
+
+TEST(Workload, ValidateRejectsNonFiniteNumbers) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  WorkloadTrace trace;
+  trace.template_count = 1;
+  for (const double horizon : {kNan, kInf, -1.0}) {
+    trace.horizon_s = horizon;  // every comparison with NaN is false
+    EXPECT_THROW(trace.validate(), std::invalid_argument) << horizon;
+  }
+
+  trace.horizon_s = 10.0;
+  trace.events = {{kNan, WorkloadEventKind::kArrival, 0, 0}};
+  EXPECT_THROW(trace.validate(), std::invalid_argument);
+
+  WorkloadEvent event{1.0, WorkloadEventKind::kArrival, 0, 0};
+  event.has_qos = true;
+  event.deadline_s = 5.0;
+  event.priority = kNan;
+  trace.events = {event};
+  EXPECT_THROW(trace.validate(), std::invalid_argument);
+}
+
+// Each non-finite field, fed through the parser, fails with the parser's
+// std::runtime_error naming the line.
+TEST(Workload, ReadRejectsNonFiniteNumbers) {
+  const std::string header = "ODN-TRACE 1\nname x\n";
+  const std::string inputs[] = {
+      header + "horizon nan\ntemplates 1\nevents 0\n",
+      header + "horizon inf\ntemplates 1\nevents 0\n",
+      header + "horizon 10\ntemplates 1\nevents 1\nevent nan A 0 0\n",
+      header + "horizon 10\ntemplates 1\nevents 1\n"
+               "event 1.0 A 0 0 qos 5.0 nan\n",
+  };
+  for (const std::string& input : inputs) {
+    std::stringstream in(input);
+    try {
+      (void)read_trace(in);
+      ADD_FAILURE() << "accepted: " << input;
+    } catch (const std::runtime_error& error) {
+      EXPECT_EQ(std::string(error.what()).rfind("read_trace: line ", 0), 0u)
+          << error.what();
+    }
+  }
 }
 
 TEST(Workload, GeneratorRejectsBadOptions) {
