@@ -1,13 +1,13 @@
-// Multi-cell federation of the serving runtime: one event loop drives the
-// churn workload against a ClusterDispatcher instead of a single
-// controller. Arrivals are placed by the configured policy (with
-// spillover), rejections enter the shared retry/backoff policy, and at
-// every epoch boundary each cell's live deployment is measured by its own
-// EdgeEmulator stream. When a cell's epoch measurement shows SLO
-// violations, up to migration_batch of its lowest-priority active jobs are
-// probed on sibling cells and moved when a probe admits (flash-crowd
-// migration) — a move is release + re-admit, so per-cell ledgers can never
-// be violated by migration.
+// Multi-cell federation of the serving runtime: the shared ServingLoop
+// (runtime/serving_loop.h) drives the churn workload against a
+// ClusterDispatcher instead of a single controller. Arrivals are placed
+// by the configured policy (with spillover), rejections enter the shared
+// retry/backoff policy, and at every epoch boundary each cell's live
+// deployment is measured by its own EdgeEmulator stream. When a cell's
+// epoch measurement shows SLO violations, up to migration_batch of its
+// lowest-priority active jobs are probed on sibling cells and moved when a
+// probe admits (flash-crowd migration) — a move is release + re-admit, so
+// per-cell ledgers can never be violated by migration.
 //
 // Determinism contract: given equal (catalog, cells, templates, options,
 // trace), two runs produce byte-identical cluster JSON reports for any
@@ -23,41 +23,23 @@
 
 #include "cluster/cluster_stats.h"
 #include "cluster/dispatcher.h"
-#include "fault/fault_plan.h"
-#include "runtime/retry_policy.h"
+#include "runtime/serving_loop.h"
 #include "runtime/workload.h"
-#include "sched/options.h"
 
 namespace odn::cluster {
 
-struct ClusterOptions {
-  std::uint64_t seed = 2024;
-  // Epoch cadence for per-cell measurement + migration; 0 disables both.
-  double epoch_s = 10.0;
-  double emulation_window_s = 5.0;
-  bool poisson_emulation = true;
-  runtime::RetryPolicy retry{};
-  // Same priority-class ladder as RuntimeOptions.
-  std::vector<double> class_boundaries{0.35, 0.7};
-  std::vector<std::string> class_names{"low", "medium", "high"};
-  core::OffloadnnController::Options controller{};
+struct ClusterOptions : runtime::LoopOptions {
+  // A non-empty fault plan (LoopOptions::faults) must match the cluster's
+  // cell count. Enabled scheduling runs the preemption ladder on an
+  // arrival the dispatcher rejects, per cell in the order the dispatcher
+  // tried them (preferred first, then accepting siblings when spillover
+  // is on).
   DispatcherOptions dispatch{};
   // Flash-crowd migration: after an epoch measurement, every cell with
   // SLO violations offers its migration_batch lowest-priority active jobs
   // to the sibling cells (highest normalized headroom first).
   bool migrate_on_slo = true;
   std::size_t migration_batch = 2;
-  // Deterministic fault schedule applied at epoch boundaries. An empty
-  // plan is a strict no-op (byte-identical reports). A non-empty plan must
-  // match the cluster's cell count and needs a positive epoch cadence.
-  fault::FaultPlan faults{};
-  // Preemption- and deadline-aware scheduling (src/sched/). Disabled is a
-  // strict no-op: arrivals take the exact pre-sched dispatcher path and
-  // the cluster report stays byte-identical. Enabled, an arrival the
-  // dispatcher rejects runs the preemption ladder per cell in the same
-  // order the dispatcher tried them (preferred first, then accepting
-  // siblings when spillover is on).
-  sched::SchedOptions sched{};
 
   void validate() const;
 };
@@ -73,12 +55,16 @@ class ClusterRuntime {
   // cluster accounting report.
   ClusterReport run(const runtime::WorkloadTrace& trace);
 
-  std::size_t class_of(double priority) const noexcept;
+  std::size_t class_of(double priority) const noexcept {
+    return options_.class_of(priority);
+  }
 
   const ClusterDispatcher& dispatcher() const noexcept { return dispatcher_; }
   ClusterDispatcher& dispatcher() noexcept { return dispatcher_; }
 
  private:
+  class Backend;  // the loop's dispatcher placement backend
+
   edge::DnnCatalog catalog_;
   edge::RadioModel radio_;
   std::vector<core::DotTask> templates_;
