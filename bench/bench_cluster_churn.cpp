@@ -1,35 +1,49 @@
 // Multi-cell cluster churn bench — the serving workload of
-// bench_runtime_churn sharded across N heterogeneous cells behind the
-// ClusterDispatcher. Each cell gets a seeded slice of the large-scale
-// envelope (slightly over-provisioned in aggregate, so single cells
-// overload and the run exercises placement, spillover and flash-crowd
-// migration). Emits the machine-readable cluster JSON report on stdout
-// (human progress on stderr). Deterministic: equal (--cells, --seed,
-// --policy, --horizon) produce byte-identical reports for any ODN_THREADS
-// setting and for --probe serial vs parallel.
+// bench_preempt_churn (without sched flags) sharded across N heterogeneous
+// cells behind the ClusterDispatcher. Each cell gets a seeded slice of the
+// large-scale envelope (slightly over-provisioned in aggregate, so single
+// cells overload and the run exercises placement, spillover and
+// flash-crowd migration). Emits the machine-readable cluster JSON report
+// on stdout (human progress on stderr). Deterministic: equal (--cells,
+// --seed, --policy, --horizon, fault plan) produce byte-identical reports
+// for any ODN_THREADS setting and for --probe serial vs parallel.
+//
+// A fault source replays a deterministic fault schedule at epoch
+// boundaries (cell crash/recover, radio degradation, latency inflation,
+// solver-budget exhaustion); the report gains a "faults" block with the
+// recovery ledger and per-fault-class SLO impact. Sources, highest
+// precedence first: --faults <file> loads an ODN-FAULTS schedule,
+// --fault-seed S generates one over the horizon, and the ODN_FAULTS
+// environment variable acts as a default --faults. With no source the
+// plan is empty and the run is fault-free.
 //
 //   $ ./bench_cluster_churn [--cells N] [--seed S] [--policy P]
 //                           [--horizon S] [--probe serial|parallel]
-//                           [--no-migration] [--out report.json]
+//                           [--no-migration] [--fault-seed S]
+//                           [--faults plan.txt] [--out report.json]
+//
+// Malformed numbers and any set-up or run error print a message and exit 2.
 #include <cstdint>
 #include <cstdlib>
 #include <cmath>
+#include <exception>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
+#include "churn_cli.h"
 #include "cluster/cluster_runtime.h"
 #include "core/scenarios.h"
+#include "fault/fault_plan.h"
 #include "obs/session.h"
 #include "runtime/workload.h"
 #include "util/logging.h"
 
-int main(int argc, char** argv) {
-  using namespace odn;
+namespace {
 
-  // ODN_TRACE=<path> / ODN_METRICS=<path> dump a Perfetto trace and a
-  // Prometheus snapshot at exit; stdout stays pure report JSON.
-  obs::EnvSession obs_session;
+int run(int argc, char** argv) {
+  using namespace odn;
 
   std::size_t cells = 4;
   std::uint64_t seed = 7;
@@ -38,20 +52,28 @@ int main(int argc, char** argv) {
   std::string probe = "parallel";
   bool migration = true;
   std::string out_path;
+  bool have_fault_seed = false;
+  std::uint64_t fault_seed = 0;
+  std::string fault_path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--cells" && i + 1 < argc) {
-      cells = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+      cells = static_cast<std::size_t>(bench::parse_u64(arg, argv[++i]));
     } else if (arg == "--seed" && i + 1 < argc) {
-      seed = static_cast<std::uint64_t>(std::strtoull(argv[++i], nullptr, 10));
+      seed = bench::parse_u64(arg, argv[++i]);
     } else if (arg == "--horizon" && i + 1 < argc) {
-      horizon_s = std::strtod(argv[++i], nullptr);
+      horizon_s = bench::parse_double(arg, argv[++i], /*positive=*/true);
     } else if (arg == "--policy" && i + 1 < argc) {
       policy = argv[++i];
     } else if (arg == "--probe" && i + 1 < argc) {
       probe = argv[++i];
     } else if (arg == "--no-migration") {
       migration = false;
+    } else if (arg == "--fault-seed" && i + 1 < argc) {
+      fault_seed = bench::parse_u64(arg, argv[++i]);
+      have_fault_seed = true;
+    } else if (arg == "--faults" && i + 1 < argc) {
+      fault_path = argv[++i];
     } else if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
     } else {
@@ -59,16 +81,42 @@ int main(int argc, char** argv) {
                 << " [--cells N] [--seed S] [--policy first_fit|"
                    "least_loaded|cost_probe] [--horizon S]"
                    " [--probe serial|parallel] [--no-migration]"
+                   " [--fault-seed S] [--faults plan.txt]"
                    " [--out report.json]\n";
       return 2;
     }
   }
-  if (cells == 0 || (probe != "serial" && probe != "parallel")) {
-    std::cerr << "bench_cluster_churn: bad --cells or --probe value\n";
-    return 2;
+  if (cells == 0 || (probe != "serial" && probe != "parallel"))
+    throw std::invalid_argument("bad --cells or --probe value");
+  if (fault_path.empty() && !have_fault_seed) {
+    if (const char* env = std::getenv("ODN_FAULTS"); env && *env)
+      fault_path = env;
   }
 
   util::set_log_level(util::LogLevel::kWarn);
+
+  fault::FaultPlan plan;
+  if (!fault_path.empty()) {
+    try {
+      plan = fault::read_fault_plan_file(fault_path);
+    } catch (const std::exception& e) {
+      throw std::runtime_error("cannot load fault plan '" + fault_path +
+                               "': " + e.what());
+    }
+    if (plan.cell_count != cells)
+      throw std::invalid_argument(
+          "fault plan is for " + std::to_string(plan.cell_count) +
+          " cells, bench runs " + std::to_string(cells));
+  } else if (have_fault_seed) {
+    fault::FaultPlanOptions fault_options;
+    fault_options.seed = fault_seed;
+    fault_options.horizon_s = horizon_s;
+    plan = fault::generate_fault_plan(cells, fault_options);
+  }
+  if (!plan.empty())
+    std::cerr << "bench_cluster_churn: fault plan '" << plan.name << "', "
+              << plan.events.size() << " events over " << plan.horizon_s
+              << " s\n";
 
   const core::DotInstance scenario =
       core::make_large_scenario(core::RequestRate::kLow);
@@ -110,6 +158,7 @@ int main(int argc, char** argv) {
   options.dispatch.policy = cluster::parse_placement_policy(policy);
   options.dispatch.parallel_probe = probe == "parallel";
   options.migrate_on_slo = migration;
+  options.faults = plan;
 
   cluster::ClusterRuntime runtime(
       scenario.catalog,
@@ -134,5 +183,26 @@ int main(int argc, char** argv) {
             << report.migration.attempted << " migrations, "
             << report.total_slo_violations() << " SLO violations across "
             << report.epochs << " epochs\n";
+  if (report.faults.enabled)
+    std::cerr << "bench_cluster_churn: " << report.faults.events_applied
+              << " fault events, " << report.faults.displaced
+              << " displaced (" << report.faults.displaced_replaced
+              << " replaced, " << report.faults.displaced_readmitted
+              << " readmitted, " << report.faults.displaced_rejected
+              << " rejected)\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // ODN_TRACE=<path> / ODN_METRICS=<path> dump a Perfetto trace and a
+  // Prometheus snapshot at exit; stdout stays pure report JSON.
+  odn::obs::EnvSession obs_session;
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "bench_cluster_churn: " << e.what() << "\n";
+    return 2;
+  }
 }

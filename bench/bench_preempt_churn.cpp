@@ -2,10 +2,14 @@
 // QoS-annotated overload, sweeping deadline tightness and priority mix
 // through the preemption ladder (src/sched/).
 //
-// Without any sched flag (--tightness / --mix) this is *exactly*
-// bench_runtime_churn: no QoS annotation, scheduling disabled, and the
-// report must be byte-identical to that bench's output for equal
-// seed/horizon (the golden_preempt_noop_differential ctest pins it).
+// Without any sched flag (--tightness / --mix) this is the plain
+// long-horizon churn bench: the serving runtime over the large-scale
+// scenario (Table IV) under sustained Poisson arrivals with flash-crowd
+// bursts, no QoS annotation, scheduling disabled. Jobs arrive faster than
+// the edge can hold them, so the run exercises the full admission
+// lifecycle (incremental admits, bounded retries with backoff,
+// accuracy-downgraded final attempts, departures, epoch-boundary emulated
+// measurement); the golden_runtime_churn_* ctests pin its report.
 //
 // With sched flags it runs one full serving run per (tightness, mix)
 // combination — QoS-annotated workload, preemption ladder enabled — and
@@ -20,20 +24,30 @@
 // are byte-identical for any ODN_THREADS (every record site is on the
 // serial event loop).
 //
+// --perf-out (single run only) writes a small wall-clock summary
+// (epoch-measurement mean / p99 and total run time) as an
+// odn-bench-perf/1 document — the input of tools/check_bench_baseline.py,
+// kept out of the report so the golden-compared stdout stays free of
+// wall-clock noise.
+//
 //   $ ./bench_preempt_churn [--seed N] [--horizon S] [--out sweep.json]
 //       [--tightness T]... [--mix balanced|high|low]...
 //       [--max-victims K] [--no-downgrade] [--no-preempt]
 //       [--alerts] [--flight-out f.json] [--timeline-out t.json]
-//       [--alerts-out a.json]
+//       [--alerts-out a.json] [--perf-out perf.json]
+//
+// Malformed numbers and any set-up or run error print a message and exit 2.
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <ostream>
 #include <string>
 #include <vector>
 
+#include "churn_cli.h"
 #include "core/scenarios.h"
 #include "obs/flight.h"
 #include "obs/session.h"
@@ -42,6 +56,7 @@
 #include "runtime/stats.h"
 #include "runtime/workload.h"
 #include "util/logging.h"
+#include "util/mathx.h"
 
 namespace {
 
@@ -58,6 +73,7 @@ struct SweepConfig {
   std::string flight_out;          // flight-record dump (single run only)
   std::string timeline_out;        // task-timeline export (single run only)
   std::string alerts_out;          // standalone alert log (single run only)
+  std::string perf_out;            // wall-clock summary (single run only)
 };
 
 // Priority-mix presets: band weights for WorkloadQosOptions::priority_mix
@@ -69,9 +85,9 @@ std::vector<double> mix_weights(const std::string& name) {
   return {};
 }
 
-// The exact workload + runtime configuration of bench_runtime_churn; the
-// sweep only ever adds QoS annotation and sched options on top, so the
-// no-sched run stays byte-identical to that bench.
+// The plain churn workload + runtime configuration; the sweep only ever
+// adds QoS annotation and sched options on top, so the no-sched run keeps
+// the plain churn report bytes.
 odn::runtime::WorkloadOptions base_workload(const SweepConfig& config) {
   odn::runtime::WorkloadOptions workload;
   workload.horizon_s = config.horizon_s;
@@ -150,25 +166,47 @@ void write_sweep_json(std::ostream& out, const SweepConfig& config,
   out << "}\n";
 }
 
-}  // namespace
+// The odn-bench-perf/1 wall-clock summary of one run (the document
+// bench/baselines/runtime_churn_perf.json gates).
+void write_perf_json(std::ostream& out, std::uint64_t seed,
+                     const odn::runtime::RuntimeReport& report) {
+  using odn::runtime::json_double;
+  std::vector<double> measure_s;
+  measure_s.reserve(report.timeline.size());
+  for (const odn::runtime::EpochSnapshot& e : report.timeline)
+    measure_s.push_back(e.measure_wall_s);
+  double mean_s = 0.0;
+  for (const double s : measure_s) mean_s += s;
+  if (!measure_s.empty()) mean_s /= static_cast<double>(measure_s.size());
+  const double p99_s =
+      measure_s.empty() ? 0.0 : odn::util::percentile(measure_s, 99.0);
+  out << "{\n";
+  out << "  \"schema\": \"odn-bench-perf/1\",\n";
+  out << "  \"bench\": \"runtime_churn\",\n";
+  out << "  \"seed\": " << seed << ",\n";
+  out << "  \"epochs\": " << report.epochs << ",\n";
+  out << "  \"metrics\": {\n";
+  out << "    \"epoch_measure_mean_s\": " << json_double(mean_s) << ",\n";
+  out << "    \"epoch_measure_p99_s\": " << json_double(p99_s) << ",\n";
+  out << "    \"run_wall_s\": " << json_double(report.run_wall_s) << "\n";
+  out << "  }\n";
+  out << "}\n";
+}
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace odn;
-
-  obs::EnvSession obs_session;
 
   SweepConfig config;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--seed" && i + 1 < argc) {
-      config.seed =
-          static_cast<std::uint64_t>(std::strtoull(argv[++i], nullptr, 10));
+      config.seed = bench::parse_u64(arg, argv[++i]);
     } else if (arg == "--horizon" && i + 1 < argc) {
-      config.horizon_s = std::strtod(argv[++i], nullptr);
+      config.horizon_s = bench::parse_double(arg, argv[++i], true);
     } else if (arg == "--out" && i + 1 < argc) {
       config.out_path = argv[++i];
     } else if (arg == "--tightness" && i + 1 < argc) {
-      config.tightness.push_back(std::strtod(argv[++i], nullptr));
+      config.tightness.push_back(bench::parse_double(arg, argv[++i], true));
     } else if (arg == "--mix" && i + 1 < argc) {
       const std::string mix = argv[++i];
       if (mix_weights(mix).empty()) {
@@ -179,7 +217,7 @@ int main(int argc, char** argv) {
       config.mixes.push_back(mix);
     } else if (arg == "--max-victims" && i + 1 < argc) {
       config.max_victims =
-          static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+          static_cast<std::size_t>(bench::parse_u64(arg, argv[++i]));
     } else if (arg == "--no-downgrade") {
       config.allow_downgrade = false;
     } else if (arg == "--no-preempt") {
@@ -192,13 +230,16 @@ int main(int argc, char** argv) {
       config.timeline_out = argv[++i];
     } else if (arg == "--alerts-out" && i + 1 < argc) {
       config.alerts_out = argv[++i];
+    } else if (arg == "--perf-out" && i + 1 < argc) {
+      config.perf_out = argv[++i];
     } else {
       std::cerr << "usage: " << argv[0]
                 << " [--seed N] [--horizon S] [--out sweep.json]"
                    " [--tightness T]... [--mix balanced|high|low]..."
                    " [--max-victims K] [--no-downgrade] [--no-preempt]"
                    " [--alerts] [--flight-out f.json]"
-                   " [--timeline-out t.json] [--alerts-out a.json]\n";
+                   " [--timeline-out t.json] [--alerts-out a.json]"
+                   " [--perf-out perf.json]\n";
       return 2;
     }
   }
@@ -211,10 +252,10 @@ int main(int argc, char** argv) {
           : std::max<std::size_t>(config.tightness.size(), 1) *
                 std::max<std::size_t>(config.mixes.size(), 1);
   if ((!config.flight_out.empty() || !config.timeline_out.empty() ||
-       !config.alerts_out.empty()) &&
+       !config.alerts_out.empty() || !config.perf_out.empty()) &&
       run_count > 1) {
     std::cerr << "bench_preempt_churn: --flight-out/--timeline-out/"
-                 "--alerts-out need a single run, sweep has "
+                 "--alerts-out/--perf-out need a single run, sweep has "
               << run_count << "\n";
     return 2;
   }
@@ -264,11 +305,21 @@ int main(int argc, char** argv) {
       runtime::write_alert_log_json(out, report.alerts, "  ");
       out << "\n}\n";
     }
+    if (!config.perf_out.empty()) {
+      std::ofstream perf(config.perf_out);
+      if (!perf) {
+        std::cerr << "bench_preempt_churn: cannot open " << config.perf_out
+                  << "\n";
+        return false;
+      }
+      write_perf_json(perf, config.seed, report);
+      std::cerr << "bench_preempt_churn: perf summary written to "
+                << config.perf_out << "\n";
+    }
     return true;
   };
 
-  // No sched flags at all: the bench degenerates to bench_runtime_churn
-  // (plain report on stdout, byte-identical for equal seed/horizon).
+  // No sched flags at all: the plain churn run (plain report on stdout).
   if (config.tightness.empty() && config.mixes.empty()) {
     const runtime::RuntimeReport report = run_once(scenario, config, 0.0, "");
     report.write_json(std::cout);
@@ -317,4 +368,18 @@ int main(int argc, char** argv) {
             << preemptions << " preemptions, " << downgrades
             << " downgrades\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // ODN_TRACE=<path> / ODN_METRICS=<path> dump a Perfetto trace and a
+  // Prometheus snapshot at exit; stdout stays pure report JSON.
+  odn::obs::EnvSession obs_session;
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "bench_preempt_churn: " << e.what() << "\n";
+    return 2;
+  }
 }

@@ -4,7 +4,8 @@
 // the block serializes byte-identically for any ODN_THREADS. The block is
 // only emitted into a report when `enabled` (a non-empty fault plan was
 // configured) — an idle injector leaves report bytes untouched, which is
-// what the bench_chaos_churn vs bench_cluster_churn differential pins.
+// what golden_chaos_noop_differential (bench_cluster_churn with no fault
+// source against the fault-free golden) pins.
 //
 // Conservation invariant (checked by the recovery property tests): every
 // displacement resolves in exactly one bucket —

@@ -150,8 +150,9 @@ struct EpochMeasure {
   std::size_t slo_violations = 0;
   std::vector<std::size_t> violations_by_cell;
   std::vector<double> latencies;    // every measured sample this epoch
-  std::size_t samples() const noexcept { return latencies.size(); }
   double gpu_busy_fraction = 0.0;   // last emulated cell's
+
+  std::size_t samples() const noexcept { return latencies.size(); }
 };
 
 class ServingLoop;
@@ -172,6 +173,8 @@ class PlacementBackend {
 
   explicit PlacementBackend(Traits traits) : traits_(traits) {}
   virtual ~PlacementBackend() = default;
+  PlacementBackend(const PlacementBackend&) = delete;
+  PlacementBackend& operator=(const PlacementBackend&) = delete;
 
   const Traits& traits() const noexcept { return traits_; }
 

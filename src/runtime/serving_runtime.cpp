@@ -61,10 +61,10 @@ class ServingRuntime::Backend final : public PlacementBackend {
 
   void close_epoch(double now, std::size_t epoch, EpochMeasure& m,
                    const util::Stopwatch& watch) override {
-    EpochSnapshot snapshot{now,      m.active_tasks,
+    EpochSnapshot snapshot{now, m.active_tasks,
                            rt_.controller_.deployed_blocks().size(),
-                           m.samples(), 0.0, m.slo_violations,
-                           m.gpu_busy_fraction};
+                           m.samples(), /*p95_latency_s=*/0.0,
+                           m.slo_violations, m.gpu_busy_fraction};
     if (!m.latencies.empty())
       snapshot.p95_latency_s = util::percentile(std::move(m.latencies), 95.0);
     loop().seal_epoch(now, epoch, snapshot.samples, snapshot.p95_latency_s);

@@ -3,8 +3,8 @@
 // Mirrors fault/fault_stats.h: every counter is integral and incremented on
 // the serial event loop, so the block serializes byte-identically for any
 // ODN_THREADS, and it is only emitted into a report when `enabled` — a
-// disabled scheduler leaves report bytes untouched (the bench_preempt_churn
-// vs bench_runtime_churn no-op differential pins this).
+// disabled scheduler leaves report bytes untouched (bench_preempt_churn
+// without sched flags against the plain churn golden pins this).
 //
 // Conservation invariants (checked by the sched property tests):
 //   - every ladder preemption resolves in exactly one bucket:
