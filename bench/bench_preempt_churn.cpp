@@ -202,11 +202,12 @@ int run(int argc, char** argv) {
     if (arg == "--seed" && i + 1 < argc) {
       config.seed = bench::parse_u64(arg, argv[++i]);
     } else if (arg == "--horizon" && i + 1 < argc) {
-      config.horizon_s = bench::parse_double(arg, argv[++i], true);
+      config.horizon_s = bench::parse_double(arg, argv[++i], /*positive=*/true);
     } else if (arg == "--out" && i + 1 < argc) {
       config.out_path = argv[++i];
     } else if (arg == "--tightness" && i + 1 < argc) {
-      config.tightness.push_back(bench::parse_double(arg, argv[++i], true));
+      config.tightness.push_back(
+          bench::parse_double(arg, argv[++i], /*positive=*/true));
     } else if (arg == "--mix" && i + 1 < argc) {
       const std::string mix = argv[++i];
       if (mix_weights(mix).empty()) {
