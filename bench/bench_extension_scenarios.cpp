@@ -22,12 +22,13 @@
 //       [--seed N] [--horizon S] [--tasks T] [--batching] [--max-batch K]
 //       [--marginal-fraction F] [--out report.json]
 #include <cstdint>
-#include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <string>
 
 #include "baseline/semoran.h"
+#include "churn_cli.h"
 #include "core/offloadnn_solver.h"
 #include "core/scenarios.h"
 #include "model/zoo.h"
@@ -132,12 +133,8 @@ void legacy_tables() {
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace odn;
-
-  obs::EnvSession obs_session;
 
   bool hetcat = false;
   bool measure_batching = false;
@@ -155,19 +152,17 @@ int main(int argc, char** argv) {
     } else if (arg == "--measure-batching") {
       measure_batching = true;
     } else if (arg == "--seed" && i + 1 < argc) {
-      seed = static_cast<std::uint64_t>(std::strtoull(argv[++i], nullptr, 10));
+      seed = bench::parse_u64(arg, argv[++i]);
     } else if (arg == "--horizon" && i + 1 < argc) {
-      horizon_s = std::strtod(argv[++i], nullptr);
+      horizon_s = bench::parse_double(arg, argv[++i], /*positive=*/true);
     } else if (arg == "--tasks" && i + 1 < argc) {
-      num_tasks =
-          static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+      num_tasks = static_cast<std::size_t>(bench::parse_u64(arg, argv[++i]));
     } else if (arg == "--batching") {
       batching = true;
     } else if (arg == "--max-batch" && i + 1 < argc) {
-      max_batch =
-          static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+      max_batch = static_cast<std::size_t>(bench::parse_u64(arg, argv[++i]));
     } else if (arg == "--marginal-fraction" && i + 1 < argc) {
-      marginal_fraction = std::strtod(argv[++i], nullptr);
+      marginal_fraction = bench::parse_double(arg, argv[++i]);
     } else if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
     } else {
@@ -283,4 +278,18 @@ int main(int argc, char** argv) {
               << report.batching.max_batch << ")";
   std::cerr << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A malformed number or a rejected option ends in a message and exit 2,
+  // never an abort.
+  odn::obs::EnvSession obs_session;
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "bench_extension_scenarios: " << e.what() << "\n";
+    return 2;
+  }
 }

@@ -1,9 +1,9 @@
-// Strict command-line number parsing for the churn drivers. The whole
-// token must parse: "abc", "7x", "-5" as a count, "nan" and "inf" are
-// errors, never silently 0 or a crash. Each parser throws
-// std::invalid_argument naming the flag; the drivers catch it (and any
-// other std::exception from set-up or the run), print the message and
-// exit 2.
+// Strict command-line number parsing for the churn drivers and
+// bench_extension_scenarios. The whole token must parse: "abc", "7x", "-5"
+// as a count, "nan" and "inf" are errors, never silently 0 or a crash.
+// Each parser throws std::invalid_argument naming the flag; the drivers
+// catch it (and any other std::exception from set-up or the run), print
+// the message and exit 2.
 #pragma once
 
 #include <cerrno>

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
-#include <string_view>
 #include <utility>
 
 #include "core/fingerprint.h"
@@ -80,9 +79,22 @@ bool ClusterDispatcher::caching_enabled() const noexcept {
           cells_.front().controller().solver_cache() != nullptr);
 }
 
-std::vector<double> ClusterDispatcher::probe_objectives(
+ClusterDispatcher::Request ClusterDispatcher::make_request(
     const edge::DnnCatalog& catalog, const core::DotTask& task,
     const core::Fingerprint* digest) const {
+  Request request;
+  request.tasks.push_back(task);
+  if (digest != nullptr) {
+    request.digest = *digest;
+  } else if (caching_enabled()) {
+    request.digest = core::catalog_digest(catalog);
+  }
+  if (caching_enabled()) request.encoded.emplace(request.tasks);
+  return request;
+}
+
+std::vector<double> ClusterDispatcher::probe_objectives(
+    const edge::DnnCatalog& catalog, const Request& request) const {
   ODN_TRACE_SPAN("cluster", "cluster.probe");
   DispatcherMetrics& metrics = DispatcherMetrics::instance();
   std::vector<double> objectives(cells_.size(), kInf);
@@ -94,7 +106,9 @@ std::vector<double> ClusterDispatcher::probe_objectives(
       // loop, so the skip is identical for any thread count.
       if (!accepting_[i]) return;
       const core::DeploymentPlan probe =
-          cells_[i].controller().probe_incremental(catalog, {task}, digest);
+          cells_[i].controller().probe_incremental(
+              catalog, request.tasks, request.digest_ptr(),
+              request.encoded_ptr());
       if (probe.tasks.size() == 1 && probe.tasks[0].admitted) {
         objectives[i] = probe.solution.cost.objective;
         metrics.probe_admits.inc();
@@ -123,34 +137,33 @@ std::vector<double> ClusterDispatcher::probe_objectives(
   // through probe_incremental_uncached against a different cell's private
   // solver memo. Verdicts, per-cell admit/reject counters and cache
   // hit/miss counts are therefore all ODN_THREADS-invariant.
-  const std::vector<core::DotTask> requests{task};
   struct Group {
-    std::string key;
+    core::MemoKey key;
     std::vector<std::size_t> cells;
     core::DeploymentPlan solved;  // filled in phase 2 on a cache miss
   };
   std::vector<Group> groups;
   // No reallocation: the key-indexing views below point into groups' keys.
   groups.reserve(cells_.size());
-  std::unordered_map<std::string_view, std::size_t> by_key;
+  std::unordered_map<core::MemoKeyRef, std::size_t, core::MemoKeyRef::Hash>
+      by_key;
 
   // Phase 1 (serial): key every accepting cell and group equal keys. The
-  // catalog digest — the one O(blocks) key component — is computed at most
-  // once per admission (admit() passes it in) and shared by all N cells'
-  // keys and by the miss solves below.
-  const core::Fingerprint digest_local =
-      digest != nullptr ? *digest : core::catalog_digest(catalog);
+  // catalog digest and the request's encoding — computed once per
+  // admission (make_request) — are shared by all N cells' keys and by the
+  // miss solves below; each key is hashed once, for the grouping and the
+  // cache alike.
   for (std::size_t i = 0; i < cells_.size(); ++i) {
     if (!accepting_[i]) continue;
-    std::string key = cells_[i].controller().probe_cache_key(catalog, requests,
-                                                             &digest_local);
-    const auto it = by_key.find(key);
+    core::MemoKey key = cells_[i].controller().probe_cache_key(
+        catalog, request.tasks, request.digest_ptr(), request.encoded_ptr());
+    const auto it = by_key.find(key.ref());
     if (it != by_key.end()) {
       groups[it->second].cells.push_back(i);
       continue;
     }
     groups.push_back(Group{std::move(key), {i}, {}});
-    by_key.emplace(std::string_view(groups.back().key), groups.size() - 1);
+    by_key.emplace(groups.back().key.ref(), groups.size() - 1);
   }
   for (const Group& group : groups)
     if (group.cells.size() > 1)
@@ -187,10 +200,11 @@ std::vector<double> ClusterDispatcher::probe_objectives(
   // memo) is ever touched by two threads.
   const auto solve_one = [&](std::size_t m) {
     Group& group = groups[missing[m]];
-    group.solved =
-        cells_[group.cells.front()]
-            .controller()
-            .probe_incremental_uncached(catalog, requests, &digest_local);
+    group.solved = cells_[group.cells.front()]
+                       .controller()
+                       .probe_incremental_uncached(catalog, request.tasks,
+                                                   request.digest_ptr(),
+                                                   request.encoded_ptr());
   };
   if (options_.parallel_probe && missing.size() > 1) {
     util::global_parallel_for(missing.size(), solve_one);
@@ -209,6 +223,11 @@ std::vector<double> ClusterDispatcher::probe_objectives(
 std::size_t ClusterDispatcher::choose_cell(
     const edge::DnnCatalog& catalog, const core::DotTask& task,
     const core::Fingerprint* digest) const {
+  return choose_cell(catalog, make_request(catalog, task, digest));
+}
+
+std::size_t ClusterDispatcher::choose_cell(const edge::DnnCatalog& catalog,
+                                           const Request& request) const {
   // Every policy ranges over the accepting cells only; with every cell
   // fenced off (cluster-wide outage) there is no preferred cell at all.
   std::size_t first_accepting = kNoCell;
@@ -240,7 +259,7 @@ std::size_t ClusterDispatcher::choose_cell(
     }
     case PlacementPolicy::kCostProbe: {
       const std::vector<double> objectives =
-          probe_objectives(catalog, task, digest);
+          probe_objectives(catalog, request);
       std::size_t best = first_accepting;
       double best_objective = objectives[best];
       for (std::size_t i = best + 1; i < cells_.size(); ++i) {
@@ -267,19 +286,12 @@ AdmissionOutcome ClusterDispatcher::admit(const edge::DnnCatalog& catalog,
     throw std::invalid_argument(util::fmt(
         "ClusterDispatcher: task '{}' already admitted", task.spec.name));
 
-  // One catalog digest per admission, shared by the probe fan-out and
-  // every admission attempt's cache keys — taken from the caller when
-  // provided, computed here otherwise (skipped when no cache would read
-  // it: the cold path must not pay for the warm path's keys).
-  core::Fingerprint digest_local;
-  const core::Fingerprint* digest_ptr = digest;
-  if (digest_ptr == nullptr && caching_enabled()) {
-    digest_local = core::catalog_digest(catalog);
-    digest_ptr = &digest_local;
-  }
+  // One request set, one catalog digest and one encoding per admission,
+  // shared by the probe fan-out and every admission attempt.
+  const Request request = make_request(catalog, task, digest);
 
   AdmissionOutcome outcome;
-  outcome.preferred_cell = choose_cell(catalog, task, digest_ptr);
+  outcome.preferred_cell = choose_cell(catalog, request);
   // Cluster-wide outage: every cell fenced off, nothing to try.
   if (outcome.preferred_cell == kNoCell) return outcome;
 
@@ -295,8 +307,9 @@ AdmissionOutcome ClusterDispatcher::admit(const edge::DnnCatalog& catalog,
   for (const std::size_t index : order) {
     metrics.placement_attempts.inc();
     const core::DeploymentPlan plan =
-        cells_[index].controller().admit_incremental(catalog, {task},
-                                                     digest_ptr);
+        cells_[index].controller().admit_incremental(
+            catalog, request.tasks, request.digest_ptr(),
+            request.encoded_ptr());
     if (plan.tasks.size() == 1 && plan.tasks[0].admitted) {
       outcome.admitted = true;
       outcome.cell = index;
@@ -312,7 +325,8 @@ AdmissionOutcome ClusterDispatcher::admit(const edge::DnnCatalog& catalog,
 
 core::DeploymentPlan ClusterDispatcher::admit_on(
     std::size_t index, const edge::DnnCatalog& catalog,
-    std::vector<core::DotTask> requests, const core::Fingerprint* digest) {
+    const std::vector<core::DotTask>& requests,
+    const core::Fingerprint* digest) {
   if (!accepting_.at(index))
     throw std::invalid_argument(util::fmt(
         "ClusterDispatcher: admit_on targets non-accepting cell {}", index));
@@ -321,8 +335,8 @@ core::DeploymentPlan ClusterDispatcher::admit_on(
       throw std::invalid_argument(util::fmt(
           "ClusterDispatcher: task '{}' already admitted",
           request.spec.name));
-  const core::DeploymentPlan plan = cells_[index].controller().admit_incremental(
-      catalog, std::move(requests), digest);
+  const core::DeploymentPlan plan =
+      cells_[index].controller().admit_incremental(catalog, requests, digest);
   for (const core::TaskPlan& task : plan.tasks)
     if (task.admitted) owner_.emplace(task.task_name, index);
   return plan;
@@ -365,16 +379,13 @@ bool ClusterDispatcher::migrate(const edge::DnnCatalog& catalog,
   // Probe first: the event loop is serial, so the target cell's state
   // cannot change between the probe and the admission below — a positive
   // probe guarantees the re-admission lands and the task is never left
-  // without a cell. One catalog digest serves both, as in admit().
-  core::Fingerprint digest_local;
-  const core::Fingerprint* digest_ptr = digest;
-  if (digest_ptr == nullptr && caching_enabled()) {
-    digest_local = core::catalog_digest(catalog);
-    digest_ptr = &digest_local;
-  }
+  // without a cell. One request set, digest and encoding serve both, as
+  // in admit().
+  const Request request = make_request(catalog, task, digest);
   const core::DeploymentPlan probe =
-      cells_[target].controller().probe_incremental(catalog, {task},
-                                                    digest_ptr);
+      cells_[target].controller().probe_incremental(
+          catalog, request.tasks, request.digest_ptr(),
+          request.encoded_ptr());
   if (probe.tasks.size() != 1 || !probe.tasks[0].admitted) return false;
 
   if (!cells_[source].controller().release(task_name))
@@ -382,8 +393,9 @@ bool ClusterDispatcher::migrate(const edge::DnnCatalog& catalog,
         "ClusterDispatcher: migration source cell {} lost task '{}'",
         source, task_name));
   const core::DeploymentPlan plan =
-      cells_[target].controller().admit_incremental(catalog, {task},
-                                                    digest_ptr);
+      cells_[target].controller().admit_incremental(
+          catalog, request.tasks, request.digest_ptr(),
+          request.encoded_ptr());
   if (plan.tasks.size() != 1 || !plan.tasks[0].admitted)
     throw std::logic_error(util::fmt(
         "ClusterDispatcher: probe admitted '{}' on cell {} but the "

@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -96,7 +97,7 @@ class ClusterDispatcher {
   // currently owned; the cell must be accepting.
   core::DeploymentPlan admit_on(std::size_t index,
                                 const edge::DnnCatalog& catalog,
-                                std::vector<core::DotTask> requests,
+                                const std::vector<core::DotTask>& requests,
                                 const core::Fingerprint* digest = nullptr);
 
   // Releases the named task from its owning cell; returns the cell index
@@ -136,14 +137,36 @@ class ClusterDispatcher {
   void reset();
 
  private:
+  // One admission's or migration's request set {task}, built once, with
+  // the catalog digest and the set's encoding that every cache key of the
+  // call shares. Without a live cache neither is computed (the cold path
+  // must not pay for the warm path's keys); a caller's digest is kept.
+  struct Request {
+    std::vector<core::DotTask> tasks;
+    std::optional<core::Fingerprint> digest;
+    std::optional<core::EncodedTaskSet> encoded;
+
+    const core::Fingerprint* digest_ptr() const {
+      return digest ? &*digest : nullptr;
+    }
+    const core::EncodedTaskSet* encoded_ptr() const {
+      return encoded ? &*encoded : nullptr;
+    }
+  };
+  Request make_request(const edge::DnnCatalog& catalog,
+                       const core::DotTask& task,
+                       const core::Fingerprint* digest) const;
+
+  std::size_t choose_cell(const edge::DnnCatalog& catalog,
+                          const Request& request) const;
+
   // Serial-vs-parallel-identical probe of every cell; slot i holds cell
   // i's admitted objective (+inf when the probe rejects). With the shared
   // plan cache on, probes are first deduplicated by exact cache key — the
   // cache itself is only ever touched serially; only cache-missing
   // distinct sub-instances fan out to the pool.
   std::vector<double> probe_objectives(const edge::DnnCatalog& catalog,
-                                       const core::DotTask& task,
-                                       const core::Fingerprint* digest) const;
+                                       const Request& request) const;
 
   // Whether any cache that keys on the catalog is live (the shared plan
   // cache or the cells' solver memos) — if none is, computing a catalog

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <unordered_set>
 #include <utility>
@@ -78,17 +79,25 @@ void OffloadnnController::rebuild_ledger() {
   ledger_.reset();
   deployed_blocks_.clear();
 
+  // Distinct blocks in first-seen order (the order memory is summed in);
+  // the marks are cleared before anything can throw, so the next rebuild
+  // starts from all zeros.
   double compute = 0.0;
   double shared_rbs = 0.0;
-  double memory = 0.0;
-  std::unordered_set<edge::BlockIndex> blocks;
   for (const TaskCommitment& task : active_) {
     compute += task.compute_s;
     shared_rbs += task.shared_rbs;
-    for (const edge::BlockIndex b : task.blocks)
-      if (blocks.insert(b).second) memory += block_memory_.at(b);
+    for (const edge::BlockIndex b : task.blocks) {
+      if (b >= block_marks_.size()) block_marks_.resize(b + std::size_t{1});
+      if (block_marks_[b] != 0) continue;
+      block_marks_[b] = 1;
+      deployed_blocks_.push_back(b);
+    }
   }
-  deployed_blocks_.assign(blocks.begin(), blocks.end());
+  for (const edge::BlockIndex b : deployed_blocks_) block_marks_[b] = 0;
+  double memory = 0.0;
+  for (const edge::BlockIndex b : deployed_blocks_)
+    memory += block_memory_.at(b);
   std::sort(deployed_blocks_.begin(), deployed_blocks_.end());
   const auto rbs =
       static_cast<std::size_t>(std::ceil(shared_rbs - 1e-9));
@@ -122,55 +131,66 @@ std::vector<std::string> OffloadnnController::active_tasks() const {
   return names;
 }
 
-DeploymentPlan OffloadnnController::admit(const edge::DnnCatalog& catalog,
-                                          std::vector<DotTask> requests) {
+DeploymentPlan OffloadnnController::admit(
+    const edge::DnnCatalog& catalog, const std::vector<DotTask>& requests) {
   reset();
-  DeploymentPlan result = plan(catalog, std::move(requests),
-                               /*incremental=*/false, /*use_plan_cache=*/true);
+  DeploymentPlan result =
+      plan(catalog, requests, /*incremental=*/false, /*use_plan_cache=*/true,
+           /*digest=*/nullptr, /*encoded=*/nullptr);
   commit(result, catalog);
   return result;
 }
 
 DeploymentPlan OffloadnnController::admit_incremental(
-    const edge::DnnCatalog& catalog, std::vector<DotTask> requests,
-    const Fingerprint* digest) {
+    const edge::DnnCatalog& catalog, const std::vector<DotTask>& requests,
+    const Fingerprint* digest, const EncodedTaskSet* encoded) {
   DeploymentPlan result =
-      plan(catalog, std::move(requests),
-           /*incremental=*/true, /*use_plan_cache=*/true, digest);
+      plan(catalog, requests, /*incremental=*/true, /*use_plan_cache=*/true,
+           digest, encoded);
   commit(result, catalog);
   return result;
 }
 
 DeploymentPlan OffloadnnController::probe_incremental(
-    const edge::DnnCatalog& catalog, std::vector<DotTask> requests,
-    const Fingerprint* digest) const {
+    const edge::DnnCatalog& catalog, const std::vector<DotTask>& requests,
+    const Fingerprint* digest, const EncodedTaskSet* encoded) const {
   ODN_TRACE_SPAN("controller", "controller.probe_incremental");
   ControllerMetrics::instance().probes.inc();
-  return plan(catalog, std::move(requests), /*incremental=*/true,
-              /*use_plan_cache=*/true, digest);
+  return plan(catalog, requests, /*incremental=*/true,
+              /*use_plan_cache=*/true, digest, encoded);
 }
 
 DeploymentPlan OffloadnnController::probe_incremental_uncached(
-    const edge::DnnCatalog& catalog, std::vector<DotTask> requests,
-    const Fingerprint* digest) const {
+    const edge::DnnCatalog& catalog, const std::vector<DotTask>& requests,
+    const Fingerprint* digest, const EncodedTaskSet* encoded) const {
   ODN_TRACE_SPAN("controller", "controller.probe_incremental");
   ControllerMetrics::instance().probes.inc();
-  return plan(catalog, std::move(requests), /*incremental=*/true,
-              /*use_plan_cache=*/false, digest);
+  return plan(catalog, requests, /*incremental=*/true,
+              /*use_plan_cache=*/false, digest, encoded);
 }
 
-std::string OffloadnnController::probe_cache_key(
+MemoKey OffloadnnController::probe_cache_key(
     const edge::DnnCatalog& catalog, const std::vector<DotTask>& requests,
-    const Fingerprint* digest) const {
-  return plan_key(catalog, requests, /*incremental=*/true, digest);
-}
-
-std::string OffloadnnController::plan_key(
-    const edge::DnnCatalog& catalog, const std::vector<DotTask>& requests,
-    bool incremental, const Fingerprint* digest) const {
+    const Fingerprint* digest, const EncodedTaskSet* encoded) const {
   const Fingerprint catalog_fp =
       digest != nullptr ? *digest : catalog_digest(catalog);
+  if (encoded != nullptr)
+    return plan_key(catalog, *encoded, /*incremental=*/true, catalog_fp);
+  return plan_key(catalog, EncodedTaskSet(requests), /*incremental=*/true,
+                  catalog_fp);
+}
+
+MemoKey OffloadnnController::plan_key(const edge::DnnCatalog& catalog,
+                                      const EncodedTaskSet& requests,
+                                      bool incremental,
+                                      const Fingerprint& catalog_fp) const {
   CanonicalWriter writer;
+  // Exactly the bytes written below: four one-byte fields, beam width and
+  // alpha; resources and ledger usage; radio and deployed blocks; catalog
+  // digest and block count; the request set.
+  writer.reserve(4 + 2 * 8 + kResourcesEncodingBytes + 3 * 8 +
+                 kRadioEncodingBytes + 8 + 4 * deployed_blocks_.size() +
+                 2 * 8 + 8 + requests.bytes().size());
   writer.u8(2);  // key-format version (2: catalog digest-compressed)
   writer.boolean(incremental);
   writer.boolean(options_.use_optimal_solver);
@@ -187,31 +207,56 @@ std::string OffloadnnController::plan_key(
   writer.u64(catalog_fp.hi);
   writer.u64(catalog_fp.lo);
   writer.size(catalog.block_count());
-  encode_task_set(writer, requests);
-  return writer.take();
+  writer.raw(requests.bytes());
+  return MemoKey(writer.take());
 }
 
 const edge::DnnCatalog& OffloadnnController::patched_catalog(
     const edge::DnnCatalog& catalog) const {
-  // The memo's source copy pins the caller's table (a shared table is never
-  // mutated in place), so table identity proves equal content.
-  if (!patched_source_.shares_blocks_with(catalog) ||
-      patched_deployed_ != deployed_blocks_) {
-    // Already-deployed blocks are free: they are resident and trained (the
-    // paper's dynamic-scenario rule). Zeroing them clones the shared table
-    // once; every plan until the deployed set changes reuses the result.
+  // Already-deployed blocks are free: they are resident and trained (the
+  // paper's dynamic-scenario rule). The memo's source copy pins the
+  // caller's table (a shared table is never mutated in place), so table
+  // identity proves equal content.
+  if (!patched_source_.shares_blocks_with(catalog)) {
+    // A new caller table: zero the deployed blocks of a fresh copy (the
+    // first write clones the shared table once).
     patched_source_ = catalog;
-    patched_deployed_ = deployed_blocks_;
     patched_ = catalog;
-    for (const edge::BlockIndex b : deployed_blocks_) patched_.mark_deployed(b);
+    patched_deployed_.clear();
   }
+  if (patched_deployed_ == deployed_blocks_) return patched_;
+
+  // Same table, new deployed set: restore the blocks that left it and zero
+  // the blocks that joined — O(changed) writes to the memo's own table,
+  // with the content a fresh patch would have. Both sets are sorted. An
+  // out-of-range block throws before any write, leaving the memo intact.
+  if (!deployed_blocks_.empty() &&
+      deployed_blocks_.back() >= catalog.block_count())
+    (void)catalog.block(*std::lower_bound(
+        deployed_blocks_.begin(), deployed_blocks_.end(),
+        static_cast<edge::BlockIndex>(catalog.block_count())));
+  auto old_it = patched_deployed_.begin();
+  auto new_it = deployed_blocks_.begin();
+  while (old_it != patched_deployed_.end() || new_it != deployed_blocks_.end()) {
+    if (new_it == deployed_blocks_.end() ||
+        (old_it != patched_deployed_.end() && *old_it < *new_it)) {
+      patched_.unmark_deployed(*old_it++, patched_source_);
+    } else if (old_it == patched_deployed_.end() || *new_it < *old_it) {
+      patched_.mark_deployed(*new_it++);
+    } else {
+      ++old_it;
+      ++new_it;
+    }
+  }
+  patched_deployed_ = deployed_blocks_;
   return patched_;
 }
 
 DeploymentPlan OffloadnnController::plan(const edge::DnnCatalog& catalog,
-                                         std::vector<DotTask> requests,
+                                         const std::vector<DotTask>& requests,
                                          bool incremental, bool use_plan_cache,
-                                         const Fingerprint* digest) const {
+                                         const Fingerprint* digest,
+                                         const EncodedTaskSet* encoded) const {
   ODN_TRACE_SPAN("controller", "controller.plan");
   ControllerMetrics::instance().plans.inc();
 
@@ -220,7 +265,6 @@ DeploymentPlan OffloadnnController::plan(const edge::DnnCatalog& catalog,
   // cold result. Keys are name-blind (names never enter the solve), so
   // the caller-facing task names are rewritten positionally; the latency
   // histogram is replayed to keep its totals equal to the cold path's.
-  std::string cache_key;
   PlanCache* cache = use_plan_cache ? plan_cache_.get() : nullptr;
   SolverCache* const memo = solver_cache_.get();
 
@@ -228,17 +272,19 @@ DeploymentPlan OffloadnnController::plan(const edge::DnnCatalog& catalog,
   // computed at most once per plan and shared by the plan key and (through
   // the deployed-block composition below) the solver memo keys. Callers
   // that fan many plans out against one catalog pass it in and the encode
-  // disappears entirely.
+  // disappears entirely. The request set's encoding is shared the same
+  // way: made here at most once, spliced into every key of this plan.
   Fingerprint caller_fp;
-  if (digest != nullptr) {
-    caller_fp = *digest;
-  } else if (cache != nullptr || memo != nullptr) {
-    caller_fp = catalog_digest(catalog);
+  std::optional<EncodedTaskSet> local_tasks;
+  if (cache != nullptr || memo != nullptr) {
+    caller_fp = digest != nullptr ? *digest : catalog_digest(catalog);
+    if (encoded == nullptr) encoded = &local_tasks.emplace(requests);
   }
 
+  std::optional<MemoKey> cache_key;
   if (cache != nullptr) {
-    cache_key = plan_key(catalog, requests, incremental, &caller_fp);
-    if (const DeploymentPlan* hit = cache->find(cache_key)) {
+    cache_key.emplace(plan_key(catalog, *encoded, incremental, caller_fp));
+    if (const DeploymentPlan* hit = cache->find(*cache_key)) {
       ODN_TRACE_SPAN("solver", "solver.warm");
       DeploymentPlan result = *hit;
       for (std::size_t t = 0; t < requests.size(); ++t) {
@@ -258,7 +304,7 @@ DeploymentPlan OffloadnnController::plan(const edge::DnnCatalog& catalog,
   DotInstance instance;
   instance.name = incremental ? "controller-incremental" : "controller";
   instance.catalog = incremental ? patched_catalog(catalog) : catalog;
-  instance.tasks = std::move(requests);
+  instance.tasks = requests;
   instance.resources = resources_;
   instance.radio = radio_;
   instance.alpha = options_.alpha;
@@ -291,13 +337,15 @@ DeploymentPlan OffloadnnController::plan(const edge::DnnCatalog& catalog,
     for (const edge::BlockIndex b : deployed_blocks_) patch_writer.u32(b);
     instance_fp = patch_writer.fingerprint();
   }
+  // instance.tasks is a copy of `requests`, so their encoding serves the
+  // solver's keys too.
   DotSolution solution;
   if (options_.use_optimal_solver) {
-    solution = OptimalSolver{}.solve(instance, memo,
-                                     memo != nullptr ? &instance_fp : nullptr);
+    solution = OptimalSolver{}.solve(
+        instance, memo, memo != nullptr ? &instance_fp : nullptr, encoded);
   } else {
     solution = OffloadnnSolver{options_.heuristic}.solve(
-        instance, memo, memo != nullptr ? &instance_fp : nullptr);
+        instance, memo, memo != nullptr ? &instance_fp : nullptr, encoded);
   }
 
   // Steps 4-6: allocate resources, deploy blocks, compute per-task plans.
@@ -307,14 +355,15 @@ DeploymentPlan OffloadnnController::plan(const edge::DnnCatalog& catalog,
   // the bookkeeping is identical for any thread count. Nothing here
   // mutates the controller: commit() applies the result.
   DeploymentPlan result;
-  result.solution = solution;
+  result.solution = std::move(solution);
+  const std::vector<TaskDecision>& decisions = result.solution.decisions;
   std::unordered_set<edge::BlockIndex> new_blocks;
   double shared_rbs = 0.0;
 
   std::vector<TaskPlan> task_plans(instance.tasks.size());
   util::global_parallel_for(instance.tasks.size(), [&](std::size_t t) {
     const DotTask& task = instance.tasks[t];
-    const TaskDecision& decision = solution.decisions[t];
+    const TaskDecision& decision = decisions[t];
     TaskPlan& task_plan = task_plans[t];
     task_plan.task_name = task.spec.name;
     task_plan.correlation = task.spec.correlation;
@@ -340,7 +389,7 @@ DeploymentPlan OffloadnnController::plan(const edge::DnnCatalog& catalog,
   });
 
   for (std::size_t t = 0; t < instance.tasks.size(); ++t) {
-    const TaskDecision& decision = solution.decisions[t];
+    const TaskDecision& decision = decisions[t];
     if (decision.admitted()) {
       const PathOption& option =
           instance.tasks[t].options[decision.option_index];
@@ -352,8 +401,8 @@ DeploymentPlan OffloadnnController::plan(const edge::DnnCatalog& catalog,
         if (!already_deployed) new_blocks.insert(b);
       }
     }
-    result.tasks.push_back(std::move(task_plans[t]));
   }
+  result.tasks = std::move(task_plans);
 
   for (const edge::BlockIndex b : new_blocks) {
     result.deployed_blocks.push_back(b);
@@ -362,10 +411,10 @@ DeploymentPlan OffloadnnController::plan(const edge::DnnCatalog& catalog,
     result.memory_committed_bytes += catalog.block(b).memory_bytes;
   }
   std::sort(result.deployed_blocks.begin(), result.deployed_blocks.end());
-  result.compute_committed_s = solution.cost.inference_compute_s;
+  result.compute_committed_s = result.solution.cost.inference_compute_s;
   result.rbs_committed =
       static_cast<std::size_t>(std::ceil(shared_rbs - 1e-9));
-  if (cache != nullptr) cache->insert(std::move(cache_key), result);
+  if (cache != nullptr) cache->insert(std::move(*cache_key), result);
   return result;
 }
 
@@ -380,8 +429,10 @@ void OffloadnnController::commit(const DeploymentPlan& plan,
     else
       metrics.rejections.inc();
   }
+  bool admitted_any = false;
   for (const TaskPlan& task : plan.tasks) {
     if (!task.admitted) continue;
+    admitted_any = true;
     for (const edge::BlockIndex b : task.blocks)
       block_memory_[b] = catalog.block(b).memory_bytes;
     active_.push_back(TaskCommitment{
@@ -394,8 +445,10 @@ void OffloadnnController::commit(const DeploymentPlan& plan,
 
   // The solver honoured the (discounted) capacities, so rebuilding the
   // ledger from the active-task commitments must succeed; a throw here
-  // indicates an internal inconsistency rather than a user error.
-  rebuild_ledger();
+  // indicates an internal inconsistency rather than a user error. With
+  // nothing admitted the commitments are unchanged, and so is the ledger
+  // every earlier rebuild (or reset) left.
+  if (admitted_any) rebuild_ledger();
 
   util::log_info("controller",
                  "{} admission: {}/{} tasks admitted, {:.1f} MB deployed, "

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/fingerprint.h"
+#include "core/lru_map.h"
 #include "core/offloadnn_solver.h"
 #include "core/optimal_solver.h"
 #include "core/solution.h"
@@ -96,44 +97,54 @@ class OffloadnnController {
   // capacities, commit the allocation, and return the plan. Resets any
   // previous deployment.
   DeploymentPlan admit(const edge::DnnCatalog& catalog,
-                       std::vector<DotTask> requests);
+                       const std::vector<DotTask>& requests);
 
   // Incremental admission: already-deployed blocks cost nothing, committed
   // resources are discounted. Admitted tasks add to the deployment. The
   // optional `digest` (must equal catalog_digest(catalog)) saves the
   // O(blocks) catalog encode the cache keys otherwise pay — callers that
-  // issue many admissions against one catalog compute it once.
+  // issue many admissions against one catalog compute it once. Likewise
+  // the optional `encoded` (must equal EncodedTaskSet(requests)) saves
+  // the request-set encode: callers that plan one request set on several
+  // cells or attempts encode it once. `requests` is copied only when the
+  // plan cache misses (the solver needs its own DotInstance).
   DeploymentPlan admit_incremental(const edge::DnnCatalog& catalog,
-                                   std::vector<DotTask> requests,
-                                   const Fingerprint* digest = nullptr);
+                                   const std::vector<DotTask>& requests,
+                                   const Fingerprint* digest = nullptr,
+                                   const EncodedTaskSet* encoded = nullptr);
 
   // Dry-run of admit_incremental: solves the same discounted instance and
   // returns the plan admit_incremental would commit, without mutating the
   // controller. The cluster dispatcher's cost_probe placement fans these
   // out across cells (const = safe to probe sibling cells concurrently);
   // determinism follows from the solve being the exact code path the
-  // subsequent admission runs. `digest` as in admit_incremental.
-  DeploymentPlan probe_incremental(const edge::DnnCatalog& catalog,
-                                   std::vector<DotTask> requests,
-                                   const Fingerprint* digest = nullptr) const;
+  // subsequent admission runs. `digest` and `encoded` as in
+  // admit_incremental.
+  DeploymentPlan probe_incremental(
+      const edge::DnnCatalog& catalog, const std::vector<DotTask>& requests,
+      const Fingerprint* digest = nullptr,
+      const EncodedTaskSet* encoded = nullptr) const;
 
   // probe_incremental with the plan cache bypassed (the solver memos still
   // apply). The cluster dispatcher solves shared-cache misses through this
   // in parallel, keeping every access to the shared cache itself serial.
   DeploymentPlan probe_incremental_uncached(
-      const edge::DnnCatalog& catalog, std::vector<DotTask> requests,
-      const Fingerprint* digest = nullptr) const;
+      const edge::DnnCatalog& catalog, const std::vector<DotTask>& requests,
+      const Fingerprint* digest = nullptr,
+      const EncodedTaskSet* encoded = nullptr) const;
 
   // Canonical cache key of the incremental sub-instance `requests` against
   // the current committed state (options, discounted capacities, ledger
   // usage, deployed blocks, radio, catalog digest, request set). Equal
   // keys guarantee bit-identical probe results; the cluster dispatcher
   // groups per-cell probes by this key to deduplicate the fan-out. The
-  // optional precomputed `digest` (must be catalog_digest(catalog)) lets
-  // that fan-out encode the catalog once instead of once per cell.
-  std::string probe_cache_key(const edge::DnnCatalog& catalog,
-                              const std::vector<DotTask>& requests,
-                              const Fingerprint* digest = nullptr) const;
+  // optional precomputed `digest` (must be catalog_digest(catalog)) and
+  // `encoded` (must be EncodedTaskSet(requests)) let that fan-out encode
+  // the catalog and the request once instead of once per cell.
+  MemoKey probe_cache_key(const edge::DnnCatalog& catalog,
+                          const std::vector<DotTask>& requests,
+                          const Fingerprint* digest = nullptr,
+                          const EncodedTaskSet* encoded = nullptr) const;
 
   // Replaces the plan cache (by default a private per-controller one) —
   // the dispatcher points every cell at one shared instance so identical
@@ -183,23 +194,23 @@ class OffloadnnController {
   // (the caches it warms are accelerators whose hits are bit-identical to
   // cold solves, so probe results stay semantically const).
   DeploymentPlan plan(const edge::DnnCatalog& catalog,
-                      std::vector<DotTask> requests, bool incremental,
-                      bool use_plan_cache,
-                      const Fingerprint* digest = nullptr) const;
+                      const std::vector<DotTask>& requests, bool incremental,
+                      bool use_plan_cache, const Fingerprint* digest,
+                      const EncodedTaskSet* encoded) const;
   // The canonical encoding plan() keys its cache on: exact in every
-  // component except the catalog, which enters as its 128-bit digest
-  // (recomputed from `catalog` unless the caller passes it in).
-  std::string plan_key(const edge::DnnCatalog& catalog,
-                       const std::vector<DotTask>& requests, bool incremental,
-                       const Fingerprint* digest = nullptr) const;
+  // component except the catalog, which enters as its 128-bit digest.
+  MemoKey plan_key(const edge::DnnCatalog& catalog,
+                   const EncodedTaskSet& requests, bool incremental,
+                   const Fingerprint& catalog_fp) const;
   // Commitment phase: records the plan's admitted tasks as active
   // commitments and rebuilds the ledger. `catalog` supplies block memory.
   void commit(const DeploymentPlan& plan, const edge::DnnCatalog& catalog);
   // Recomputes the ledger and deployed-block list from active_tasks_.
   void rebuild_ledger();
   // `catalog` with every deployed block's µ and ct zeroed — the catalog an
-  // incremental solve sees. Memoized: rebuilt only when the deployed set
-  // or the caller's block table (by identity) differs from the last call.
+  // incremental solve sees. Memoized: rebuilt when the caller's block
+  // table (by identity) differs from the last call, and patched in place,
+  // O(changed blocks), when only the deployed set differs.
   const edge::DnnCatalog& patched_catalog(
       const edge::DnnCatalog& catalog) const;
 
@@ -209,6 +220,9 @@ class OffloadnnController {
   edge::ResourceLedger ledger_;
   std::vector<edge::BlockIndex> deployed_blocks_;
   std::vector<TaskCommitment> active_;
+  // rebuild_ledger()'s seen-block marks, indexed by block; all zero
+  // between calls (reused so a rebuild allocates nothing).
+  std::vector<unsigned char> block_marks_;
   // Memory of every block ever seen at admission (release needs it after
   // the admitting catalog has gone out of scope).
   std::unordered_map<edge::BlockIndex, double> block_memory_;

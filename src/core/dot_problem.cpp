@@ -9,12 +9,8 @@
 namespace odn::core {
 
 void DotInstance::finalize() {
-  edge::validate_tasks([this] {
-    std::vector<edge::TaskSpec> specs;
-    specs.reserve(tasks.size());
-    for (const DotTask& task : tasks) specs.push_back(task.spec);
-    return specs;
-  }());
+  edge::validate_tasks(tasks.size(), [this](std::size_t t)
+                           -> const edge::TaskSpec& { return tasks[t].spec; });
   resources.validate();
   if (alpha < 0.0 || alpha > 1.0)
     throw std::invalid_argument("DotInstance: alpha outside [0,1]");

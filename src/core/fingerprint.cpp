@@ -1,7 +1,7 @@
 #include "core/fingerprint.h"
 
 #include <bit>
-#include <unordered_map>
+#include <stdexcept>
 
 namespace odn::core {
 namespace {
@@ -101,22 +101,61 @@ void encode_task(CanonicalWriter& writer, const DotTask& task) {
   }
 }
 
-void encode_task_set(CanonicalWriter& writer,
-                     const std::vector<DotTask>& tasks) {
+namespace {
+
+// encode_task's output size, so a set encoding is built without regrowth.
+std::size_t encoded_task_size(const DotTask& task) {
+  std::size_t bytes = 1 + 5 * 8 + 8 + 16 * task.spec.qualities.size() + 8;
+  for (const PathOption& option : task.options)
+    bytes += 4 * 8 + 4 * option.path.blocks.size();
+  return bytes;
+}
+
+// encode_task_set, recording where each task's encoding ends when `ends`
+// is given.
+void write_task_set(CanonicalWriter& writer, const std::vector<DotTask>& tasks,
+                    std::vector<std::size_t>* ends) {
   writer.u8(kTagTaskSet);
   writer.size(tasks.size());
-  for (const DotTask& task : tasks) encode_task(writer, task);
+  for (const DotTask& task : tasks) {
+    encode_task(writer, task);
+    if (ends != nullptr) ends->push_back(writer.bytes().size());
+  }
   // Name-equality partition: for each task, the first index with the same
   // name. Distinct names yield the identity sequence; duplicates point
   // backwards, so the (validate-rejected) duplicate-name shape can never
   // alias a distinct-name set under the otherwise name-blind encoding.
-  std::unordered_map<std::string_view, std::size_t> first_seen;
+  // Request sets are small (the solver itself is O(T^2)), so a scan of the
+  // earlier names beats building a hash map per encode.
   for (std::size_t t = 0; t < tasks.size(); ++t) {
-    const auto [it, inserted] =
-        first_seen.emplace(std::string_view(tasks[t].spec.name), t);
-    writer.size(it->second);
-    (void)inserted;
+    std::size_t first = 0;
+    while (tasks[first].spec.name != tasks[t].spec.name) ++first;
+    writer.size(first);
   }
+}
+
+}  // namespace
+
+void encode_task_set(CanonicalWriter& writer,
+                     const std::vector<DotTask>& tasks) {
+  write_task_set(writer, tasks, nullptr);
+}
+
+EncodedTaskSet::EncodedTaskSet(const std::vector<DotTask>& tasks) {
+  std::size_t bytes = 1 + 8 + 8 * tasks.size();
+  for (const DotTask& task : tasks) bytes += encoded_task_size(task);
+  CanonicalWriter writer;
+  writer.reserve(bytes);
+  task_ends_.reserve(tasks.size());
+  write_task_set(writer, tasks, &task_ends_);
+  bytes_ = writer.take();
+}
+
+std::string_view EncodedTaskSet::task(std::size_t t) const {
+  if (t >= task_ends_.size())
+    throw std::out_of_range("EncodedTaskSet::task: bad index");
+  const std::size_t begin = t == 0 ? 1 + 8 : task_ends_[t - 1];
+  return std::string_view(bytes_).substr(begin, task_ends_[t] - begin);
 }
 
 void encode_instance(CanonicalWriter& writer, const DotInstance& instance) {

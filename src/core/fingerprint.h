@@ -62,6 +62,14 @@ class CanonicalWriter {
   void size(std::size_t value) { u64(static_cast<std::uint64_t>(value)); }
   void boolean(bool value) { u8(value ? 1 : 0); }
   void str(std::string_view value);
+  // Splices already-canonical bytes (an EncodedTaskSet, a key prefix)
+  // verbatim: the result equals writing the values they encode.
+  void raw(std::string_view bytes) {
+    buffer_.append(bytes.data(), bytes.size());
+  }
+  // Key builders reserve the exact size they will write, so a key never
+  // regrows and is stored at its exact size.
+  void reserve(std::size_t bytes) { buffer_.reserve(bytes); }
 
   const std::string& bytes() const noexcept { return buffer_; }
   std::string take() noexcept { return std::move(buffer_); }
@@ -82,7 +90,10 @@ class CanonicalWriter {
 };
 
 // Component encoders. Each writes a type tag first, so two different
-// components can never produce the same byte sequence by accident.
+// components can never produce the same byte sequence by accident. The
+// fixed-size ones publish their size, so key builders can reserve exactly.
+inline constexpr std::size_t kRadioEncodingBytes = 1 + 1 + 2 * 8;
+inline constexpr std::size_t kResourcesEncodingBytes = 1 + 3 * 8 + 8;
 void encode_radio(CanonicalWriter& writer, const edge::RadioModel& radio);
 void encode_resources(CanonicalWriter& writer,
                       const edge::EdgeResources& resources);
@@ -97,6 +108,27 @@ void encode_task(CanonicalWriter& writer, const DotTask& task);
 // the first index carrying the same name).
 void encode_task_set(CanonicalWriter& writer,
                      const std::vector<DotTask>& tasks);
+
+// One request set's encode_task_set bytes, made once and spliced into
+// every key that embeds the set: each probed cell's and each admit
+// attempt's plan key, and on a miss the solve key, the branch-memo prefix
+// and (through task(t)) each clique key. Callers thread it down next to the
+// catalog digest; it must be the encoding of the very request set the call
+// receives.
+class EncodedTaskSet {
+ public:
+  explicit EncodedTaskSet(const std::vector<DotTask>& tasks);
+
+  const std::string& bytes() const noexcept { return bytes_; }
+  std::size_t task_count() const noexcept { return task_ends_.size(); }
+  // encode_task's bytes for task `t`.
+  std::string_view task(std::size_t t) const;
+
+ private:
+  std::string bytes_;
+  std::vector<std::size_t> task_ends_;  // end offset of task t's bytes
+};
+
 // alpha + resources + radio + catalog + task set (instance name excluded).
 void encode_instance(CanonicalWriter& writer, const DotInstance& instance);
 

@@ -1,8 +1,11 @@
 #include "core/offloadnn_solver.h"
 
 #include <algorithm>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -40,36 +43,37 @@ struct SolverMetrics {
   }
 };
 
-// Re-rank a clique copy by the requested ablation ordering.
-std::vector<TreeVertex> ordered_clique(std::span<const TreeVertex> clique,
-                                       const DotInstance& instance,
-                                       CliqueOrdering ordering) {
-  std::vector<TreeVertex> vertices(clique.begin(), clique.end());
+// A clique in the requested ablation ordering: the tree's own span for the
+// default (already the tree invariant), otherwise a re-ranked copy held
+// in `storage`.
+std::span<const TreeVertex> ordered_clique(std::span<const TreeVertex> clique,
+                                           CliqueOrdering ordering,
+                                           std::vector<TreeVertex>& storage) {
+  if (ordering == CliqueOrdering::kInferenceTime) return clique;
+  storage.assign(clique.begin(), clique.end());
   switch (ordering) {
     case CliqueOrdering::kInferenceTime:
-      // Already the tree invariant.
       break;
     case CliqueOrdering::kMemory:
-      std::stable_sort(vertices.begin(), vertices.end(),
+      std::stable_sort(storage.begin(), storage.end(),
                        [](const TreeVertex& a, const TreeVertex& b) {
                          return a.memory_bytes < b.memory_bytes;
                        });
       break;
     case CliqueOrdering::kAccuracy:
-      std::stable_sort(vertices.begin(), vertices.end(),
+      std::stable_sort(storage.begin(), storage.end(),
                        [](const TreeVertex& a, const TreeVertex& b) {
                          return a.accuracy > b.accuracy;
                        });
       break;
     case CliqueOrdering::kNone:
-      std::stable_sort(vertices.begin(), vertices.end(),
+      std::stable_sort(storage.begin(), storage.end(),
                        [](const TreeVertex& a, const TreeVertex& b) {
                          return a.option_index < b.option_index;
                        });
       break;
   }
-  (void)instance;
-  return vertices;
+  return storage;
 }
 
 // Branch-memo key prefix: everything BranchOptimizer::optimize +
@@ -78,27 +82,32 @@ std::vector<TreeVertex> ordered_clique(std::span<const TreeVertex> clique,
 // (rejected tasks still enter the objective through their priority and
 // rate). 'B' tags the key space.
 std::string branch_key_prefix(const DotInstance& instance,
-                              const Fingerprint& catalog_digest) {
+                              const Fingerprint& catalog_digest,
+                              const EncodedTaskSet& tasks) {
   CanonicalWriter writer;
+  writer.reserve(1 + 8 + kResourcesEncodingBytes + kRadioEncodingBytes +
+                 2 * 8 + tasks.bytes().size());
   writer.u8(0x42);  // 'B'
   writer.f64(instance.alpha);
   encode_resources(writer, instance.resources);
   encode_radio(writer, instance.radio);
   writer.u64(catalog_digest.hi);
   writer.u64(catalog_digest.lo);
-  encode_task_set(writer, instance.tasks);
+  writer.raw(tasks.bytes());
   return writer.take();
 }
 
-std::string branch_key(const std::string& prefix,
-                       const std::vector<BranchChoice>& choices) {
+MemoKey branch_key(std::string_view prefix,
+                   const std::vector<BranchChoice>& choices) {
   CanonicalWriter writer;
+  writer.reserve(prefix.size() + 8 + 9 * choices.size());
+  writer.raw(prefix);
   writer.size(choices.size());
   for (const BranchChoice& choice : choices) {
     writer.boolean(choice.has_value());
     writer.size(choice.has_value() ? *choice : 0);
   }
-  return prefix + writer.take();
+  return MemoKey(writer.take());
 }
 
 }  // namespace
@@ -120,7 +129,8 @@ DotSolution OffloadnnSolver::solve(const DotInstance& instance,
 
 DotSolution OffloadnnSolver::solve(const DotInstance& instance,
                                    SolverCache* cache,
-                                   const Fingerprint* catalog_fp) const {
+                                   const Fingerprint* catalog_fp,
+                                   const EncodedTaskSet* encoded_tasks) const {
   ODN_TRACE_SPAN("solver", "solver.offloadnn");
   util::Stopwatch watch;
   SolverMetrics& metrics = SolverMetrics::instance();
@@ -128,13 +138,20 @@ DotSolution OffloadnnSolver::solve(const DotInstance& instance,
   // The catalog is the one O(blocks) key component; encode it at most once
   // per solve (not at all when the caller precomputed it) and share the
   // digest across the solve key, the branch-memo prefix and the tree's
-  // clique keys.
+  // clique keys. The request set is likewise encoded at most once (not at
+  // all when the caller passes its encoding) and spliced into each key.
   Fingerprint digest;
-  std::string solve_key;
+  std::optional<EncodedTaskSet> local_tasks;
+  std::optional<MemoKey> solve_key;
   if (cache != nullptr) {
     digest = catalog_fp != nullptr ? *catalog_fp
                                    : catalog_digest(instance.catalog);
+    if (encoded_tasks == nullptr)
+      encoded_tasks = &local_tasks.emplace(instance.tasks);
     CanonicalWriter writer;
+    writer.reserve(1 + 1 + 8 + 8 + kResourcesEncodingBytes +
+                   kRadioEncodingBytes + 2 * 8 + 8 +
+                   encoded_tasks->bytes().size());
     writer.u8(0x4F);  // 'O': this solver's full-solve key space
     writer.u8(static_cast<std::uint8_t>(options_.ordering));
     writer.size(options_.beam_width);
@@ -144,9 +161,9 @@ DotSolution OffloadnnSolver::solve(const DotInstance& instance,
     writer.u64(digest.hi);
     writer.u64(digest.lo);
     writer.size(instance.catalog.block_count());
-    encode_task_set(writer, instance.tasks);
-    solve_key = writer.take();
-    if (const DotSolution* hit = cache->find_solve(solve_key)) {
+    writer.raw(encoded_tasks->bytes());
+    solve_key.emplace(writer.take());
+    if (const DotSolution* hit = cache->find_solve(*solve_key)) {
       ODN_TRACE_SPAN("solver", "solver.warm");
       metrics.solves.inc();
       DotSolution solution = *hit;
@@ -155,34 +172,37 @@ DotSolution OffloadnnSolver::solve(const DotInstance& instance,
     }
   }
 
-  const SolutionTree tree(instance, cache, cache != nullptr ? &digest
-                                                            : nullptr);
+  const SolutionTree tree(instance, cache,
+                          cache != nullptr ? &digest : nullptr,
+                          encoded_tasks);
   metrics.solves.inc();
   metrics.cliques_built.inc(tree.num_layers());
   std::string branch_prefix;
-  if (cache != nullptr) branch_prefix = branch_key_prefix(instance, digest);
+  if (cache != nullptr)
+    branch_prefix = branch_key_prefix(instance, digest, *encoded_tasks);
   DotSolution solution =
       options_.beam_width == 1
           ? solve_first_branch(instance, tree, cache, branch_prefix)
           : solve_beam(instance, tree, cache, branch_prefix);
   solution.solve_time_s = watch.elapsed_seconds();
-  if (cache != nullptr) cache->insert_solve(std::move(solve_key), solution);
+  if (cache != nullptr) cache->insert_solve(std::move(*solve_key), solution);
   return solution;
 }
 
 DotSolution OffloadnnSolver::solve_first_branch(
     const DotInstance& instance, const SolutionTree& tree, SolverCache* cache,
-    const std::string& branch_prefix) const {
+    std::string_view branch_prefix) const {
   std::vector<BranchChoice> choices(instance.tasks.size());
   std::vector<std::uint32_t> block_use(instance.catalog.block_count(), 0);
   double memory_used = 0.0;
   std::size_t visited = 0;
   std::size_t pruned = 0;
+  std::vector<TreeVertex> reordered;
 
   for (std::size_t layer = 0; layer < tree.num_layers(); ++layer) {
     const std::size_t task_index = tree.layer_task(layer);
-    const std::vector<TreeVertex> clique =
-        ordered_clique(tree.layer(layer), instance, options_.ordering);
+    const std::span<const TreeVertex> clique =
+        ordered_clique(tree.layer(layer), options_.ordering, reordered);
 
     for (const TreeVertex& vertex : clique) {
       const PathOption& option =
@@ -212,10 +232,10 @@ DotSolution OffloadnnSolver::solve_first_branch(
   solution.solver_name = "OffloaDNN";
   solution.branches_explored = 1;
 
-  std::string key;
+  std::optional<MemoKey> key;
   if (cache != nullptr) {
-    key = branch_key(branch_prefix, choices);
-    if (const SolverCache::BranchEntry* hit = cache->find_branch(key)) {
+    key.emplace(branch_key(branch_prefix, choices));
+    if (const SolverCache::BranchEntry* hit = cache->find_branch(*key)) {
       ODN_TRACE_SPAN("solver", "solver.warm");
       solution.decisions = hit->decisions;
       solution.cost = hit->cost;
@@ -229,7 +249,7 @@ DotSolution OffloadnnSolver::solve_first_branch(
   solution.cost = evaluator.evaluate(solution.decisions);
   if (cache != nullptr)
     cache->insert_branch(
-        std::move(key),
+        std::move(*key),
         SolverCache::BranchEntry{solution.decisions, solution.cost});
   return solution;
 }
@@ -237,7 +257,7 @@ DotSolution OffloadnnSolver::solve_first_branch(
 DotSolution OffloadnnSolver::solve_beam(const DotInstance& instance,
                                         const SolutionTree& tree,
                                         SolverCache* cache,
-                                        const std::string& branch_prefix)
+                                        std::string_view branch_prefix)
     const {
   struct PartialBranch {
     std::vector<BranchChoice> choices;
@@ -252,11 +272,12 @@ DotSolution OffloadnnSolver::solve_beam(const DotInstance& instance,
   std::vector<PartialBranch> beam{std::move(root)};
   std::size_t visited = 0;
   std::size_t pruned = 0;
+  std::vector<TreeVertex> reordered;
 
   for (std::size_t layer = 0; layer < tree.num_layers(); ++layer) {
     const std::size_t task_index = tree.layer_task(layer);
-    const std::vector<TreeVertex> clique =
-        ordered_clique(tree.layer(layer), instance, options_.ordering);
+    const std::span<const TreeVertex> clique =
+        ordered_clique(tree.layer(layer), options_.ordering, reordered);
 
     std::vector<PartialBranch> expanded;
     for (const PartialBranch& parent : beam) {
@@ -320,14 +341,14 @@ DotSolution OffloadnnSolver::solve_beam(const DotInstance& instance,
     CostBreakdown cost;
   };
   std::vector<BranchResult> optimized(beam.size());
-  std::vector<std::string> keys(beam.size());
+  std::vector<std::optional<MemoKey>> keys(beam.size());
   std::vector<std::size_t> pending;
   pending.reserve(beam.size());
   for (std::size_t i = 0; i < beam.size(); ++i) {
     if (cache != nullptr) {
-      keys[i] = branch_key(branch_prefix, beam[i].choices);
+      keys[i].emplace(branch_key(branch_prefix, beam[i].choices));
       if (const SolverCache::BranchEntry* hit =
-              cache->find_branch(keys[i])) {
+              cache->find_branch(*keys[i])) {
         optimized[i].decisions = hit->decisions;
         optimized[i].cost = hit->cost;
         continue;
@@ -343,7 +364,7 @@ DotSolution OffloadnnSolver::solve_beam(const DotInstance& instance,
   if (cache != nullptr)
     for (const std::size_t i : pending)
       cache->insert_branch(
-          std::move(keys[i]),
+          std::move(*keys[i]),
           SolverCache::BranchEntry{optimized[i].decisions,
                                    optimized[i].cost});
 

@@ -16,7 +16,7 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
+#include <string_view>
 
 #include "core/solution.h"
 #include "core/tree.h"
@@ -57,16 +57,20 @@ class OffloadnnSolver {
   // the deployed-block patch) skip the encode entirely. `catalog_fp` must
   // identify instance.catalog's content: pass catalog_digest(...) or a
   // composed lineage digest that is injective over the content.
+  // `encoded_tasks`, when given, must be EncodedTaskSet(instance.tasks):
+  // the solve key, the branch-memo prefix and the clique keys splice it
+  // instead of re-encoding the request set.
   DotSolution solve(const DotInstance& instance, SolverCache* cache,
-                    const Fingerprint* catalog_fp) const;
+                    const Fingerprint* catalog_fp,
+                    const EncodedTaskSet* encoded_tasks = nullptr) const;
 
  private:
   DotSolution solve_first_branch(const DotInstance& instance,
                                  const SolutionTree& tree, SolverCache* cache,
-                                 const std::string& branch_prefix) const;
+                                 std::string_view branch_prefix) const;
   DotSolution solve_beam(const DotInstance& instance,
                          const SolutionTree& tree, SolverCache* cache,
-                         const std::string& branch_prefix) const;
+                         std::string_view branch_prefix) const;
 
   OffloadnnOptions options_;
 };

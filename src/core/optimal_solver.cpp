@@ -1,5 +1,6 @@
 #include "core/optimal_solver.h"
 
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -169,19 +170,27 @@ DotSolution OptimalSolver::solve(const DotInstance& instance,
 
 DotSolution OptimalSolver::solve(const DotInstance& instance,
                                  SolverCache* cache,
-                                 const Fingerprint* catalog_fp) const {
+                                 const Fingerprint* catalog_fp,
+                                 const EncodedTaskSet* encoded_tasks) const {
   ODN_TRACE_SPAN("solver", "solver.optimal");
   util::Stopwatch watch;
 
   // At most one catalog encode per solve (none when the caller precomputed
   // the digest — see OffloadnnSolver::solve): the digest feeds the solve
-  // key here and the tree's clique keys below.
+  // key here and the tree's clique keys below, as does the request set's
+  // encoding.
   Fingerprint digest;
-  std::string solve_key;
+  std::optional<EncodedTaskSet> local_tasks;
+  std::optional<MemoKey> solve_key;
   if (cache != nullptr) {
     digest = catalog_fp != nullptr ? *catalog_fp
                                    : catalog_digest(instance.catalog);
+    if (encoded_tasks == nullptr)
+      encoded_tasks = &local_tasks.emplace(instance.tasks);
     CanonicalWriter writer;
+    writer.reserve(1 + 1 + 8 + 8 + kResourcesEncodingBytes +
+                   kRadioEncodingBytes + 2 * 8 + 8 +
+                   encoded_tasks->bytes().size());
     writer.u8(0x58);  // 'X': this solver's full-solve key space
     writer.boolean(options_.bound_pruning);
     writer.f64(options_.max_branches);
@@ -191,9 +200,9 @@ DotSolution OptimalSolver::solve(const DotInstance& instance,
     writer.u64(digest.hi);
     writer.u64(digest.lo);
     writer.size(instance.catalog.block_count());
-    encode_task_set(writer, instance.tasks);
-    solve_key = writer.take();
-    if (const DotSolution* hit = cache->find_solve(solve_key)) {
+    writer.raw(encoded_tasks->bytes());
+    solve_key.emplace(writer.take());
+    if (const DotSolution* hit = cache->find_solve(*solve_key)) {
       ODN_TRACE_SPAN("solver", "solver.warm");
       OptimalMetrics::instance().solves.inc();
       DotSolution solution = *hit;
@@ -202,8 +211,9 @@ DotSolution OptimalSolver::solve(const DotInstance& instance,
     }
   }
 
-  const SolutionTree tree(instance, cache, cache != nullptr ? &digest
-                                                            : nullptr);
+  const SolutionTree tree(instance, cache,
+                          cache != nullptr ? &digest : nullptr,
+                          encoded_tasks);
 
   // Include the skip child in the size estimate.
   double branches = 1.0;
@@ -320,7 +330,7 @@ DotSolution OptimalSolver::solve(const DotInstance& instance,
   solution.cost = evaluator.evaluate(solution.decisions);
   solution.solve_time_s = watch.elapsed_seconds();
   solution.branches_explored = branches_explored;
-  if (cache != nullptr) cache->insert_solve(std::move(solve_key), solution);
+  if (cache != nullptr) cache->insert_solve(std::move(*solve_key), solution);
   return solution;
 }
 

@@ -39,9 +39,12 @@ class OptimalSolver {
   DotSolution solve(const DotInstance& instance, SolverCache* cache) const;
   // As above with the instance catalog's key digest precomputed by the
   // caller (see OffloadnnSolver::solve): skips the O(blocks) catalog
-  // encode, the dominant warm-path cost at bench scale.
+  // encode, the dominant warm-path cost at bench scale. `encoded_tasks`,
+  // when given, must be EncodedTaskSet(instance.tasks): the keys splice it
+  // instead of re-encoding the request set.
   DotSolution solve(const DotInstance& instance, SolverCache* cache,
-                    const Fingerprint* catalog_fp) const;
+                    const Fingerprint* catalog_fp,
+                    const EncodedTaskSet* encoded_tasks = nullptr) const;
 
  private:
   OptimalSolverOptions options_;

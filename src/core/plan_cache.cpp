@@ -30,7 +30,7 @@ struct PlanCacheMetrics {
 
 PlanCache::PlanCache(std::size_t capacity) : entries_(capacity) {}
 
-const DeploymentPlan* PlanCache::find(std::string_view key) {
+const DeploymentPlan* PlanCache::find(const MemoKey& key) {
   const DeploymentPlan* hit = entries_.find(key);
   PlanCacheMetrics& metrics = PlanCacheMetrics::instance();
   if (hit != nullptr) {
@@ -43,7 +43,7 @@ const DeploymentPlan* PlanCache::find(std::string_view key) {
   return hit;
 }
 
-void PlanCache::insert(std::string key, const DeploymentPlan& plan) {
+void PlanCache::insert(MemoKey key, const DeploymentPlan& plan) {
   const std::uint64_t before = entries_.evictions();
   entries_.insert(std::move(key), plan);
   const std::uint64_t evicted = entries_.evictions() - before;

@@ -19,8 +19,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
-#include <string_view>
 
 #include "core/controller.h"
 #include "core/lru_map.h"
@@ -40,8 +38,8 @@ class PlanCache {
 
   // Counts a hit or miss (locally and on the odn_plan_cache_* counters).
   // The returned pointer is valid until the next insert() or clear().
-  const DeploymentPlan* find(std::string_view key);
-  void insert(std::string key, const DeploymentPlan& plan);
+  const DeploymentPlan* find(const MemoKey& key);
+  void insert(MemoKey key, const DeploymentPlan& plan);
 
   std::size_t size() const noexcept { return entries_.size(); }
   std::size_t capacity() const noexcept { return entries_.capacity(); }

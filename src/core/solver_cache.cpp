@@ -42,7 +42,7 @@ SolverCache::SolverCache(Options options)
       solves_(options.solve_capacity) {}
 
 const SolverCache::CliqueEntry* SolverCache::find_clique(
-    std::string_view key) {
+    const MemoKey& key) {
   const CliqueEntry* hit = cliques_.find(key);
   SolverCacheMetrics& metrics = SolverCacheMetrics::instance();
   if (hit != nullptr) {
@@ -55,7 +55,7 @@ const SolverCache::CliqueEntry* SolverCache::find_clique(
   return hit;
 }
 
-void SolverCache::insert_clique(std::string key, CliqueEntry entry) {
+void SolverCache::insert_clique(MemoKey key, CliqueEntry entry) {
   const std::uint64_t before = cliques_.evictions();
   cliques_.insert(std::move(key), std::move(entry));
   const std::uint64_t evicted = cliques_.evictions() - before;
@@ -64,7 +64,7 @@ void SolverCache::insert_clique(std::string key, CliqueEntry entry) {
 }
 
 const SolverCache::BranchEntry* SolverCache::find_branch(
-    std::string_view key) {
+    const MemoKey& key) {
   const BranchEntry* hit = branches_.find(key);
   SolverCacheMetrics& metrics = SolverCacheMetrics::instance();
   if (hit != nullptr) {
@@ -77,7 +77,7 @@ const SolverCache::BranchEntry* SolverCache::find_branch(
   return hit;
 }
 
-void SolverCache::insert_branch(std::string key, BranchEntry entry) {
+void SolverCache::insert_branch(MemoKey key, BranchEntry entry) {
   const std::uint64_t before = branches_.evictions();
   branches_.insert(std::move(key), std::move(entry));
   const std::uint64_t evicted = branches_.evictions() - before;
@@ -85,7 +85,7 @@ void SolverCache::insert_branch(std::string key, BranchEntry entry) {
   if (evicted > 0) SolverCacheMetrics::instance().evictions.inc(evicted);
 }
 
-const DotSolution* SolverCache::find_solve(std::string_view key) {
+const DotSolution* SolverCache::find_solve(const MemoKey& key) {
   const DotSolution* hit = solves_.find(key);
   SolverCacheMetrics& metrics = SolverCacheMetrics::instance();
   if (hit != nullptr) {
@@ -98,7 +98,7 @@ const DotSolution* SolverCache::find_solve(std::string_view key) {
   return hit;
 }
 
-void SolverCache::insert_solve(std::string key, const DotSolution& solution) {
+void SolverCache::insert_solve(MemoKey key, const DotSolution& solution) {
   const std::uint64_t before = solves_.evictions();
   solves_.insert(std::move(key), solution);
   const std::uint64_t evicted = solves_.evictions() - before;

@@ -24,8 +24,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/lru_map.h"
@@ -62,19 +60,19 @@ class SolverCache {
     std::vector<TreeVertex> vertices;
     std::size_t filtered = 0;
   };
-  const CliqueEntry* find_clique(std::string_view key);
-  void insert_clique(std::string key, CliqueEntry entry);
+  const CliqueEntry* find_clique(const MemoKey& key);
+  void insert_clique(MemoKey key, CliqueEntry entry);
 
   // One optimized branch: the (z, r) decisions and their evaluated cost.
   struct BranchEntry {
     std::vector<TaskDecision> decisions;
     CostBreakdown cost;
   };
-  const BranchEntry* find_branch(std::string_view key);
-  void insert_branch(std::string key, BranchEntry entry);
+  const BranchEntry* find_branch(const MemoKey& key);
+  void insert_branch(MemoKey key, BranchEntry entry);
 
-  const DotSolution* find_solve(std::string_view key);
-  void insert_solve(std::string key, const DotSolution& solution);
+  const DotSolution* find_solve(const MemoKey& key);
+  void insert_solve(MemoKey key, const DotSolution& solution);
 
   SolverCacheStats stats() const noexcept;
   void clear();

@@ -1,8 +1,9 @@
 #include "core/tree.h"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
-#include <string>
+#include <string_view>
 #include <utility>
 
 #include "core/fingerprint.h"
@@ -15,14 +16,15 @@ namespace {
 // catalog (spec thresholds filter, catalog times/memory sort), so the key
 // is the exact task encoding prefixed with the catalog digest. 'Q' tags
 // the key space apart from the branch/solve memos sharing the cache.
-std::string clique_key(const Fingerprint& catalog_digest,
-                       const DotTask& task) {
+MemoKey clique_key(const Fingerprint& catalog_digest,
+                   std::string_view task_bytes) {
   CanonicalWriter writer;
+  writer.reserve(1 + 2 * 8 + task_bytes.size());
   writer.u8(0x51);  // 'Q'
   writer.u64(catalog_digest.hi);
   writer.u64(catalog_digest.lo);
-  encode_task(writer, task);
-  return writer.take();
+  writer.raw(task_bytes);
+  return MemoKey(writer.take());
 }
 
 }  // namespace
@@ -34,24 +36,29 @@ SolutionTree::SolutionTree(const DotInstance& instance, SolverCache* cache)
     : SolutionTree(instance, cache, nullptr) {}
 
 SolutionTree::SolutionTree(const DotInstance& instance, SolverCache* cache,
-                           const Fingerprint* digest)
+                           const Fingerprint* digest,
+                           const EncodedTaskSet* encoded_tasks)
     : instance_(instance) {
   if (!instance.finalized())
     throw std::logic_error("SolutionTree: instance not finalized");
 
   Fingerprint catalog_digest;
-  if (cache != nullptr)
+  std::optional<EncodedTaskSet> local_tasks;
+  if (cache != nullptr) {
     catalog_digest =
         digest != nullptr ? *digest : core::catalog_digest(instance.catalog);
+    if (encoded_tasks == nullptr)
+      encoded_tasks = &local_tasks.emplace(instance.tasks);
+  }
 
   layers_.reserve(instance.tasks.size());
   for (const std::size_t task_index : instance.priority_order()) {
     const DotTask& task = instance.tasks[task_index];
 
-    std::string key;
+    std::optional<MemoKey> key;
     if (cache != nullptr) {
-      key = clique_key(catalog_digest, task);
-      if (const SolverCache::CliqueEntry* hit = cache->find_clique(key)) {
+      key.emplace(clique_key(catalog_digest, encoded_tasks->task(task_index)));
+      if (const SolverCache::CliqueEntry* hit = cache->find_clique(*key)) {
         // Stored vertices carry whatever task_index the task had when the
         // entry was built; patch in this instance's index.
         std::vector<TreeVertex> clique = hit->vertices;
@@ -96,7 +103,7 @@ SolutionTree::SolutionTree(const DotInstance& instance, SolverCache* cache,
                        return a.input_bits < b.input_bits;
                      });
     if (cache != nullptr)
-      cache->insert_clique(std::move(key),
+      cache->insert_clique(std::move(*key),
                            SolverCache::CliqueEntry{clique, filtered_here});
     filtered_ += filtered_here;
     total_vertices_ += clique.size();

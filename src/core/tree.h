@@ -46,9 +46,12 @@ class SolutionTree {
   SolutionTree(const DotInstance& instance, SolverCache* cache);
   // As above with a precomputed catalog_digest(instance.catalog), so a
   // solver that already encoded the catalog for its own keys does not
-  // encode it a second time here. nullptr recomputes internally.
+  // encode it a second time here, and optionally the precomputed encoding
+  // of instance.tasks, whose per-task slices become the clique keys'
+  // task bytes. nullptr recomputes internally.
   SolutionTree(const DotInstance& instance, SolverCache* cache,
-               const Fingerprint* digest);
+               const Fingerprint* digest,
+               const EncodedTaskSet* encoded_tasks = nullptr);
 
   const DotInstance& instance() const noexcept { return instance_; }
 

@@ -1,5 +1,6 @@
 #include "edge/dnn_catalog.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -24,13 +25,35 @@ double DnnPath::inference_time_s(
   return total;
 }
 
+namespace {
+
+// Σ cost(b) over the path's distinct blocks, each counted at its first
+// occurrence, so the floating-point sum runs in path order. Paths are a
+// handful of blocks: a scan of the earlier ones allocates nothing. Long
+// paths (only a hostile instance file builds one) take a hash set, so the
+// sum stays linear in the path length.
+template <class Cost>
+double sum_distinct(const std::vector<BlockIndex>& path, Cost cost) {
+  constexpr std::size_t kScanLimit = 32;
+  double total = 0.0;
+  if (path.size() <= kScanLimit) {
+    for (auto it = path.begin(); it != path.end(); ++it)
+      if (std::find(path.begin(), it, *it) == it) total += cost(*it);
+    return total;
+  }
+  std::unordered_set<BlockIndex> seen;
+  for (const BlockIndex b : path)
+    if (seen.insert(b).second) total += cost(b);
+  return total;
+}
+
+}  // namespace
+
 double DnnPath::unique_memory_bytes(
     const std::vector<CatalogBlock>& blocks_table) const {
-  std::unordered_set<BlockIndex> seen;
-  double total = 0.0;
-  for (const BlockIndex b : blocks)
-    if (seen.insert(b).second) total += blocks_table.at(b).memory_bytes;
-  return total;
+  return sum_distinct(blocks, [&](BlockIndex b) {
+    return blocks_table.at(b).memory_bytes;
+  });
 }
 
 std::vector<CatalogBlock>& DnnCatalog::own_blocks() {
@@ -66,6 +89,15 @@ void DnnCatalog::mark_deployed(BlockIndex index) {
   block.training_cost_s = 0.0;
 }
 
+void DnnCatalog::unmark_deployed(BlockIndex index,
+                                 const DnnCatalog& original) {
+  (void)block(index);  // range check
+  const CatalogBlock& source = original.block(index);
+  CatalogBlock& block = own_blocks()[index];
+  block.memory_bytes = source.memory_bytes;
+  block.training_cost_s = source.training_cost_s;
+}
+
 const CatalogBlock& DnnCatalog::block(BlockIndex index) const {
   if (index >= block_count())
     throw std::out_of_range(
@@ -83,11 +115,9 @@ double DnnCatalog::path_memory_bytes(const DnnPath& path) const {
 }
 
 double DnnCatalog::path_training_cost_s(const DnnPath& path) const {
-  std::unordered_set<BlockIndex> seen;
-  double total = 0.0;
-  for (const BlockIndex b : path.blocks)
-    if (seen.insert(b).second) total += block(b).training_cost_s;
-  return total;
+  return sum_distinct(path.blocks, [&](BlockIndex b) {
+    return block(b).training_cost_s;
+  });
 }
 
 Architecture DnnCatalog::path_architecture(const DnnPath& path) const {

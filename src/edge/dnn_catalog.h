@@ -83,6 +83,11 @@ class DnnCatalog {
   // its table keep the original costs. The controller applies this to its
   // own patched copy of the caller's catalog, never to the caller's.
   void mark_deployed(BlockIndex index);
+  // Undoes mark_deployed: copies µ(s) and ct(s) of block `index` back from
+  // `original`, the catalog this one was patched from. Lets the controller
+  // move its patched copy to a new deployed set in O(changed blocks)
+  // instead of re-cloning the table.
+  void unmark_deployed(BlockIndex index, const DnnCatalog& original);
 
   // True when both catalogs read the very same block table — identity,
   // not equal content. A table is never mutated while shared, so a holder

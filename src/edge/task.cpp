@@ -1,7 +1,5 @@
 #include "edge/task.h"
 
-#include <unordered_set>
-
 #include "util/fmt.h"
 
 namespace odn::edge {
@@ -36,12 +34,22 @@ void TaskSpec::validate() const {
 }
 
 void validate_tasks(const std::vector<TaskSpec>& tasks) {
-  std::unordered_set<std::string> names;
-  for (const TaskSpec& task : tasks) {
+  validate_tasks(tasks.size(),
+                 [&](std::size_t i) -> const TaskSpec& { return tasks[i]; });
+}
+
+void validate_tasks(
+    std::size_t count,
+    const std::function<const TaskSpec&(std::size_t)>& spec_at) {
+  // A scan of the earlier names, not a hash set: task sets are small (the
+  // DOT solvers are themselves O(T^2)), and the scan allocates nothing.
+  for (std::size_t i = 0; i < count; ++i) {
+    const TaskSpec& task = spec_at(i);
     task.validate();
-    if (!names.insert(task.name).second)
-      throw std::invalid_argument(
-          util::fmt("validate_tasks: duplicate task name '{}'", task.name));
+    for (std::size_t j = 0; j < i; ++j)
+      if (spec_at(j).name == task.name)
+        throw std::invalid_argument(
+            util::fmt("validate_tasks: duplicate task name '{}'", task.name));
   }
 }
 

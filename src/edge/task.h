@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -48,5 +49,10 @@ struct TaskSpec {
 
 // Validates a whole task set (distinct names, sane ranges).
 void validate_tasks(const std::vector<TaskSpec>& tasks);
+// The same checks, in the same order and with the same messages, over
+// `count` specs reached through `spec_at(i)` — for callers that hold the
+// specs inside larger records and must not copy them out.
+void validate_tasks(std::size_t count,
+                    const std::function<const TaskSpec&(std::size_t)>& spec_at);
 
 }  // namespace odn::edge

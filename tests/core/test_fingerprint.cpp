@@ -7,6 +7,7 @@
 //  - finalize-independence: pre- and post-finalize tasks encode equally.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -143,6 +144,80 @@ TEST(Fingerprint, NameBlindButDuplicateAware) {
     duplicated.tasks[1].spec.name = duplicated.tasks[0].spec.name;
     EXPECT_NE(instance_bytes(duplicated), instance_bytes(base));
   }
+}
+
+// Three tasks, the first and last both named "cam".
+std::vector<DotTask> duplicate_name_set() {
+  std::vector<DotTask> tasks;
+  for (int t = 0; t < 3; ++t) {
+    DotTask task;
+    task.spec.name = t == 1 ? "lidar" : "cam";
+    task.spec.priority = 0.25 * (t + 1);
+    task.spec.request_rate = 2.0 + t;
+    task.spec.min_accuracy = 0.5;
+    task.spec.max_latency_s = 0.1 * (t + 1);
+    task.spec.snr_db = 15.0;
+    task.spec.qualities = {{1e5, 1.0}, {4e4, 0.9}};
+    PathOption option;
+    option.path.name = "p";
+    option.path.blocks = {0, static_cast<edge::BlockIndex>(t + 1)};
+    option.path.accuracy = 0.8;
+    option.quality_index = static_cast<std::size_t>(t % 2);
+    task.options.push_back(option);
+    tasks.push_back(task);
+  }
+  return tasks;
+}
+
+// The exact bytes of a duplicate-name set, pinned: its name partition is
+// [0, 1, 0] (task 2 points back at task 0), and the digest of the whole
+// encoding is the one the hash-map partition produced before the scan
+// replaced it.
+TEST(Fingerprint, DuplicateNameSetBytesArePinned) {
+  CanonicalWriter writer;
+  encode_task_set(writer, duplicate_name_set());
+  const std::string& bytes = writer.bytes();
+  ASSERT_EQ(bytes.size(), 420u);
+  const std::string partition(bytes.end() - 24, bytes.end());
+  EXPECT_EQ(partition, std::string("\0\0\0\0\0\0\0\0"
+                                   "\x01\0\0\0\0\0\0\0"
+                                   "\0\0\0\0\0\0\0\0",
+                                   24));
+  EXPECT_EQ(writer.fingerprint().hex(), "c906074e4f41081924629f043226b6e7");
+}
+
+// The once-per-request encoding is byte-identical to encode_task_set, its
+// per-task slices to encode_task, and it is built at its exact size.
+TEST(Fingerprint, EncodedTaskSetMatchesTheEncoders) {
+  std::vector<std::vector<DotTask>> sets{duplicate_name_set(), {}};
+  for (std::uint64_t seed = 1; seed <= 10; ++seed)
+    sets.push_back(testing::random_instance(seed).tasks);
+  for (const std::vector<DotTask>& tasks : sets) {
+    const EncodedTaskSet encoded(tasks);
+    CanonicalWriter whole;
+    encode_task_set(whole, tasks);
+    EXPECT_EQ(encoded.bytes(), whole.bytes());
+    if (!tasks.empty()) {  // (an empty set fits the short-string buffer)
+      EXPECT_EQ(encoded.bytes().capacity(), encoded.bytes().size());
+    }
+    ASSERT_EQ(encoded.task_count(), tasks.size());
+    for (std::size_t t = 0; t < tasks.size(); ++t) {
+      CanonicalWriter one;
+      encode_task(one, tasks[t]);
+      EXPECT_EQ(encoded.task(t), one.bytes()) << "task " << t;
+    }
+    EXPECT_THROW((void)encoded.task(tasks.size()), std::out_of_range);
+  }
+}
+
+TEST(Fingerprint, FixedEncodingSizesMatchTheEncoders) {
+  const DotInstance world = testing::random_instance(3);
+  CanonicalWriter radio;
+  encode_radio(radio, world.radio);
+  EXPECT_EQ(radio.bytes().size(), kRadioEncodingBytes);
+  CanonicalWriter resources;
+  encode_resources(resources, world.resources);
+  EXPECT_EQ(resources.bytes().size(), kResourcesEncodingBytes);
 }
 
 TEST(Fingerprint, TaskEncodingIgnoresFinalizeDerivedFields) {

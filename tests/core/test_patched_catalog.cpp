@@ -151,6 +151,53 @@ TEST_P(PatchedCatalog, CallerMutatingItsCatalogIsSeen) {
   EXPECT_EQ(probe_all(reused, catalog), probe_all(fresh, catalog));
 }
 
+// The memo follows deployed-set changes in place (restoring blocks that
+// left, zeroing blocks that joined). Walk it through sets that grow,
+// shrink, swap (blocks leave and join between two plans) and empty out;
+// after every step a fresh controller that replays the same admissions
+// and releases must probe the same bytes and hold the same state.
+TEST_P(PatchedCatalog, GrowShrinkSwapSequencesMatchAFreshController) {
+  struct Step {
+    bool admit;
+    std::size_t task;
+  };
+  const std::vector<Step> steps{
+      {true, 0},  {true, 1},  {true, 2},   // grow
+      {false, 1},                          // shrink
+      {true, 3},  {false, 0},              // swap: 3 joins as 0 leaves
+      {true, 4},  {false, 2}, {false, 3},  // swap again
+      {false, 4},                          // empty
+      {true, 5},  {true, 0},  {false, 5},  // regrow, swap
+  };
+  auto apply = [&](OffloadnnController& controller, const Step& step) {
+    if (step.admit) {
+      admit(controller, world_.catalog, step.task);
+    } else {
+      ASSERT_TRUE(
+          controller.release("admitted-" + std::to_string(step.task)));
+    }
+  };
+
+  OffloadnnController reused = make_controller();
+  std::vector<std::vector<edge::BlockIndex>> seen_sets;
+  for (std::size_t s = 0; s < steps.size(); ++s) {
+    apply(reused, steps[s]);
+    seen_sets.push_back(reused.deployed_blocks());
+
+    OffloadnnController fresh = make_controller();
+    for (std::size_t r = 0; r <= s; ++r) apply(fresh, steps[r]);
+    EXPECT_EQ(probe_all(reused, world_.catalog), probe_all(fresh, twin_))
+        << "after step " << s;
+    EXPECT_EQ(odn::testing::serialize_state(reused),
+              odn::testing::serialize_state(fresh))
+        << "after step " << s;
+  }
+  // The walk really moved the deployed set both ways, and emptied it.
+  EXPECT_LT(seen_sets[3].size(), seen_sets[2].size());
+  EXPECT_TRUE(seen_sets[9].empty());
+  EXPECT_NE(seen_sets[5], seen_sets[3]);
+}
+
 INSTANTIATE_TEST_SUITE_P(PlanCache, PatchedCatalog, ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& info) {
                            return info.param ? "On" : "Off";

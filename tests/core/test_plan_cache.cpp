@@ -7,11 +7,13 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/controller.h"
 #include "core/lru_map.h"
 #include "core/plan_cache.h"
+#include "core/scenarios.h"
 #include "obs/metrics.h"
 #include "solver_equivalence.h"
 
@@ -69,6 +71,73 @@ TEST(LruMap, FindPromotesSurvivorsUnderPressure) {
   EXPECT_EQ(map.evictions(), 10u);
 }
 
+// Memo keys are ~700-byte canonical encodings that mostly differ late:
+// keys sharing a long prefix, differing only in their last byte, or being
+// a prefix of one another must never alias.
+TEST(LruMap, LongSharedPrefixKeysNeverAlias) {
+  const std::string prefix(700, '\x5a');
+  const auto with_tail = [](std::string key, std::string_view tail) {
+    key.append(tail);
+    return key;
+  };
+  const std::vector<std::string> keys{
+      prefix,
+      with_tail(prefix, "a"),
+      with_tail(prefix, "b"),
+      with_tail(prefix, std::string_view("\0", 1)),
+      with_tail(prefix, "ab"),
+      with_tail(std::string(699, '\x5a'), "a")};
+  LruMap<int> map(keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i)
+    map.insert(keys[i], static_cast<int>(i));
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const int* hit = map.find(keys[i]);
+    ASSERT_NE(hit, nullptr) << "key " << i;
+    EXPECT_EQ(*hit, static_cast<int>(i)) << "key " << i;
+    // A hashed key and a plain view of the same bytes reach one entry.
+    EXPECT_EQ(map.find(MemoKey(keys[i])), hit) << "key " << i;
+  }
+  EXPECT_EQ(map.find(with_tail(prefix, "c")), nullptr);
+  EXPECT_EQ(map.find(std::string(701, '\x5a')), nullptr);
+  EXPECT_EQ(map.evictions(), 0u);
+}
+
+// The index compares every byte after the hash: a forged equal hash over
+// different bytes is a different key.
+TEST(LruMap, EqualHashesWithDifferentBytesAreDifferentKeys) {
+  const MemoKeyRef a{"key-a", 42};
+  const MemoKeyRef b{"key-b", 42};
+  EXPECT_FALSE(a == b);
+  EXPECT_TRUE(a == (MemoKeyRef{"key-a", 42}));
+  EXPECT_FALSE(a == (MemoKeyRef{"key-a", 43}));
+  EXPECT_EQ(MemoKey("abc").hash(), MemoKey::hash_of("abc"));
+  EXPECT_EQ(MemoKey("abc"), MemoKey("abc"));
+  EXPECT_FALSE(MemoKey("abc") == MemoKey("abd"));
+}
+
+// Hashed-key insertions keep the plain-string semantics: eviction order,
+// in-place overwrite, and the stored key trimmed to its exact size.
+TEST(LruMap, HashedKeysKeepEvictionOrderAndOverwrite) {
+  LruMap<int> map(2);
+  map.insert(MemoKey(std::string(40, 'a')), 1);
+  map.insert(MemoKey(std::string(40, 'b')), 2);
+  map.insert(MemoKey(std::string(40, 'a')), 10);  // overwrite, promotes
+  EXPECT_EQ(map.size(), 2u);
+  EXPECT_EQ(map.evictions(), 0u);
+  EXPECT_EQ(map.lru_key(), std::string(40, 'b'));
+  map.insert(MemoKey(std::string(40, 'c')), 3);
+  EXPECT_EQ(map.evictions(), 1u);
+  EXPECT_EQ(map.find(std::string(40, 'b')), nullptr);
+  EXPECT_EQ(*map.find(std::string(40, 'a')), 10);
+
+  std::string roomy;
+  roomy.reserve(4096);
+  roomy.assign(700, 'r');
+  map.insert(MemoKey(std::move(roomy)), 4);
+  EXPECT_EQ(map.mru_key().size(), 700u);
+  EXPECT_EQ(map.mru_key().capacity(), 700u);
+}
+
 TEST(LruMap, EmptyKeyAccessorsThrow) {
   LruMap<int> map(2);
   EXPECT_THROW(map.mru_key(), std::logic_error);
@@ -97,12 +166,12 @@ TEST(PlanCache, StatsMatchObsCounterDeltas) {
       registry.counter("odn_plan_cache_evictions_total").value();
 
   PlanCache cache(2);
-  EXPECT_EQ(cache.find("k1"), nullptr);           // miss
-  cache.insert("k1", make_plan("p1"));            // insertion
-  EXPECT_NE(cache.find("k1"), nullptr);           // hit
-  cache.insert("k2", make_plan("p2"));            // insertion
-  cache.insert("k3", make_plan("p3"));            // insertion + eviction
-  EXPECT_EQ(cache.find("k1"), nullptr);           // miss (evicted)
+  EXPECT_EQ(cache.find(MemoKey("k1")), nullptr);  // miss
+  cache.insert(MemoKey("k1"), make_plan("p1"));   // insertion
+  EXPECT_NE(cache.find(MemoKey("k1")), nullptr);  // hit
+  cache.insert(MemoKey("k2"), make_plan("p2"));   // insertion
+  cache.insert(MemoKey("k3"), make_plan("p3"));   // insertion + eviction
+  EXPECT_EQ(cache.find(MemoKey("k1")), nullptr);  // miss (evicted)
 
   const PlanCacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
@@ -125,10 +194,31 @@ TEST(PlanCache, StatsMatchObsCounterDeltas) {
             stats.evictions);
 }
 
+// Plan keys are written at their exact size (the builder reserves what it
+// will write), so they never regrow and the cache stores them untrimmed —
+// with and without deployed blocks in the key.
+TEST(PlanCache, ProbeKeysAreBuiltAtExactSize) {
+  const DotInstance world = make_large_scenario(RequestRate::kLow);
+  OffloadnnController::Options options;
+  options.alpha = world.alpha;
+  OffloadnnController controller(world.resources, world.radio, options);
+  for (std::size_t t = 0; t < 4; ++t) {
+    const std::vector<DotTask> requests{world.tasks[t], world.tasks[t + 4]};
+    const MemoKey key = controller.probe_cache_key(world.catalog, requests);
+    EXPECT_EQ(key.bytes().capacity(), key.bytes().size()) << "step " << t;
+    // A caller-supplied encoding splices to the very same key.
+    const EncodedTaskSet encoded(requests);
+    EXPECT_EQ(key, controller.probe_cache_key(world.catalog, requests,
+                                              nullptr, &encoded));
+    (void)controller.admit_incremental(world.catalog, {world.tasks[t]});
+  }
+  EXPECT_FALSE(controller.deployed_blocks().empty());
+}
+
 TEST(PlanCache, StoresPlansByValue) {
   PlanCache cache(4);
-  cache.insert("k", make_plan("stored"));
-  const DeploymentPlan* hit = cache.find("k");
+  cache.insert(MemoKey("k"), make_plan("stored"));
+  const DeploymentPlan* hit = cache.find(MemoKey("k"));
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(odn::testing::serialize_plan(*hit),
             odn::testing::serialize_plan(make_plan("stored")));

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/fingerprint.h"
 
 namespace odn::edge {
@@ -14,6 +17,12 @@ DnnCatalog sample_catalog() {
   catalog.add_block({"ft-3", BlockKind::kFineTuned, 3.0e-3, 30e6, 50.0});
   catalog.add_block({"pruned-4", BlockKind::kPruned, 1.0e-3, 8e6, 60.0});
   return catalog;
+}
+
+void expect_costs(const DnnCatalog& catalog, BlockIndex b, double memory,
+                  double training) {
+  EXPECT_EQ(catalog.block(b).memory_bytes, memory) << "block " << b;
+  EXPECT_EQ(catalog.block(b).training_cost_s, training) << "block " << b;
 }
 
 TEST(DnnCatalog, AddAndLookup) {
@@ -86,6 +95,50 @@ TEST(DnnPath, HelpersMatchCatalogMethods) {
                    catalog.path_inference_time_s(path));
   EXPECT_DOUBLE_EQ(path.unique_memory_bytes(catalog.blocks()),
                    catalog.path_memory_bytes(path));
+}
+
+// Repeated blocks count once, at their first occurrence, so the sum runs
+// in path order: µ1 + µ0 + µ3 here, whatever the repeats around them.
+TEST(DnnPath, UniqueMemoryOfRepeatedBlocksSumsFirstOccurrencesInOrder) {
+  const DnnCatalog catalog = sample_catalog();
+  const DnnPath path{"repeats", {1, 0, 1, 3, 0, 1}, 0.7};
+  const double expected = (20e6 + 10e6) + 8e6;
+  EXPECT_EQ(path.unique_memory_bytes(catalog.blocks()), expected);
+  EXPECT_EQ(catalog.path_memory_bytes(path), expected);
+  EXPECT_EQ(catalog.path_training_cost_s(path), (0.0 + 0.0) + 60.0);
+}
+
+// Paths past the scan limit take the hash-set route; both routes agree
+// (in value and in summation order) on the same distinct-block sequence.
+TEST(DnnPath, LongRepeatedPathMatchesItsShortForm) {
+  DnnCatalog catalog;
+  std::vector<BlockIndex> distinct;
+  for (int b = 0; b < 12; ++b)
+    distinct.push_back(catalog.add_block(
+        {std::to_string(b), BlockKind::kFineTuned, 1e-3,
+         1e6 * (1.0 + 0.37 * b), 3.0 + 0.11 * b}));
+  DnnPath long_path{"long", {}, 0.5};
+  for (int round = 0; round < 8; ++round)  // 96 blocks, 12 distinct
+    for (const BlockIndex b : distinct) long_path.blocks.push_back(b);
+  const DnnPath short_path{"short", distinct, 0.5};
+  EXPECT_EQ(catalog.path_memory_bytes(long_path),
+            catalog.path_memory_bytes(short_path));
+  EXPECT_EQ(catalog.path_training_cost_s(long_path),
+            catalog.path_training_cost_s(short_path));
+}
+
+TEST(DnnCatalog, UnmarkDeployedRestoresTheOriginalCosts) {
+  const DnnCatalog original = sample_catalog();
+  DnnCatalog patched = original;
+  patched.mark_deployed(2);
+  patched.mark_deployed(3);
+  patched.unmark_deployed(2, original);
+  expect_costs(patched, 2, 30e6, 50.0);
+  expect_costs(patched, 3, 0.0, 0.0);
+  expect_costs(original, 3, 8e6, 60.0);  // the source never changed
+  patched.unmark_deployed(3, original);
+  EXPECT_EQ(core::catalog_digest(patched), core::catalog_digest(original));
+  EXPECT_THROW(patched.unmark_deployed(9, original), std::out_of_range);
 }
 
 // Copy-on-write block table: copies share it, and a mutation on either
