@@ -93,12 +93,13 @@ class ClusterRuntime::Backend final : public runtime::PlacementBackend,
     return dispatcher_.release(name) != kNoCell;
   }
   core::DeploymentPlan probe(
-      std::vector<core::DotTask> requests) const override {
+      const std::vector<core::DotTask>& requests) const override {
     return dispatcher_.cell(ladder_cell_).controller().probe_incremental(
-        catalog_, std::move(requests), loop().catalog_digest());
+        catalog_, requests, loop().catalog_digest());
   }
-  core::DeploymentPlan commit(std::vector<core::DotTask> requests) override {
-    return dispatcher_.admit_on(ladder_cell_, catalog_, std::move(requests),
+  core::DeploymentPlan commit(
+      const std::vector<core::DotTask>& requests) override {
+    return dispatcher_.admit_on(ladder_cell_, catalog_, requests,
                                 loop().catalog_digest());
   }
 

@@ -446,7 +446,7 @@ void ClusterDispatcher::reset() {
 std::size_t ClusterDispatcher::total_active() const {
   std::size_t active = 0;
   for (const EdgeCell& cell : cells_)
-    active += cell.controller().active_tasks().size();
+    active += cell.controller().commitments().size();
   return active;
 }
 

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <optional>
 #include <stdexcept>
-#include <unordered_set>
 #include <utility>
 
 #include "core/fingerprint.h"
@@ -84,7 +83,7 @@ void OffloadnnController::rebuild_ledger() {
   // starts from all zeros.
   double compute = 0.0;
   double shared_rbs = 0.0;
-  for (const TaskCommitment& task : active_) {
+  for (const Commitment& task : active_) {
     compute += task.compute_s;
     shared_rbs += task.shared_rbs;
     for (const edge::BlockIndex b : task.blocks) {
@@ -109,7 +108,7 @@ void OffloadnnController::rebuild_ledger() {
 bool OffloadnnController::release(const std::string& task_name) {
   const auto it =
       std::find_if(active_.begin(), active_.end(),
-                   [&](const TaskCommitment& task) {
+                   [&](const Commitment& task) {
                      return task.name == task_name;
                    });
   if (it == active_.end()) return false;
@@ -127,7 +126,7 @@ bool OffloadnnController::release(const std::string& task_name) {
 std::vector<std::string> OffloadnnController::active_tasks() const {
   std::vector<std::string> names;
   names.reserve(active_.size());
-  for (const TaskCommitment& task : active_) names.push_back(task.name);
+  for (const Commitment& task : active_) names.push_back(task.name);
   return names;
 }
 
@@ -357,7 +356,6 @@ DeploymentPlan OffloadnnController::plan(const edge::DnnCatalog& catalog,
   DeploymentPlan result;
   result.solution = std::move(solution);
   const std::vector<TaskDecision>& decisions = result.solution.decisions;
-  std::unordered_set<edge::BlockIndex> new_blocks;
   double shared_rbs = 0.0;
 
   std::vector<TaskPlan> task_plans(instance.tasks.size());
@@ -388,6 +386,16 @@ DeploymentPlan OffloadnnController::plan(const edge::DnnCatalog& catalog,
     }
   });
 
+  // Newly deployed blocks: collect every admitted path's blocks that are
+  // not resident yet into one buffer sized for all of them, then sort and
+  // deduplicate in place — no per-call hash set.
+  std::size_t path_blocks = 0;
+  for (std::size_t t = 0; t < instance.tasks.size(); ++t)
+    if (decisions[t].admitted())
+      path_blocks += instance.tasks[t]
+                         .options[decisions[t].option_index]
+                         .path.blocks.size();
+  result.deployed_blocks.reserve(path_blocks);
   for (std::size_t t = 0; t < instance.tasks.size(); ++t) {
     const TaskDecision& decision = decisions[t];
     if (decision.admitted()) {
@@ -398,19 +406,20 @@ DeploymentPlan OffloadnnController::plan(const edge::DnnCatalog& catalog,
       for (const edge::BlockIndex b : option.path.blocks) {
         const bool already_deployed = std::binary_search(
             deployed_blocks_.begin(), deployed_blocks_.end(), b);
-        if (!already_deployed) new_blocks.insert(b);
+        if (!already_deployed) result.deployed_blocks.push_back(b);
       }
     }
   }
   result.tasks = std::move(task_plans);
 
-  for (const edge::BlockIndex b : new_blocks) {
-    result.deployed_blocks.push_back(b);
-    // Memory is charged from the *original* catalog (the zeroed copies in
-    // the incremental instance only affect the solver's view).
+  std::vector<edge::BlockIndex>& blocks = result.deployed_blocks;
+  std::sort(blocks.begin(), blocks.end());
+  blocks.erase(std::unique(blocks.begin(), blocks.end()), blocks.end());
+  // Memory is charged from the *original* catalog (the zeroed copies in
+  // the incremental instance only affect the solver's view), summed in
+  // ascending block order.
+  for (const edge::BlockIndex b : blocks)
     result.memory_committed_bytes += catalog.block(b).memory_bytes;
-  }
-  std::sort(result.deployed_blocks.begin(), result.deployed_blocks.end());
   result.compute_committed_s = result.solution.cost.inference_compute_s;
   result.rbs_committed =
       static_cast<std::size_t>(std::ceil(shared_rbs - 1e-9));
@@ -435,8 +444,9 @@ void OffloadnnController::commit(const DeploymentPlan& plan,
     admitted_any = true;
     for (const edge::BlockIndex b : task.blocks)
       block_memory_[b] = catalog.block(b).memory_bytes;
-    active_.push_back(TaskCommitment{
+    active_.push_back(Commitment{
         .name = task.task_name,
+        .correlation = task.correlation,
         .compute_s = task.admitted_rate * task.inference_time_s,
         .shared_rbs = task.admission_ratio *
                       static_cast<double>(task.slice_rbs),

@@ -162,7 +162,24 @@ class OffloadnnController {
   // Returns false when no active task has that name.
   bool release(const std::string& task_name);
 
-  // Names of the currently active (admitted, not released) tasks.
+  // Per-task resource commitment, recorded at admission so departures can
+  // return exactly what the task took.
+  struct Commitment {
+    std::string name;
+    // TaskPlan::correlation of the admitted plan (~0 = unset).
+    std::uint64_t correlation = ~std::uint64_t{0};
+    double compute_s = 0.0;    // z λ Σc
+    double shared_rbs = 0.0;   // z · r
+    std::vector<edge::BlockIndex> blocks;
+  };
+
+  // The active (admitted, not released) tasks' commitments, in admission
+  // order — the order rebuild_ledger sums them in. A view, not a copy.
+  const std::vector<Commitment>& commitments() const noexcept {
+    return active_;
+  }
+  // Names of the currently active tasks (a copy; hot paths read
+  // commitments()).
   std::vector<std::string> active_tasks() const;
 
   // Swaps the radio model used by future solves (fault injection: a
@@ -180,15 +197,6 @@ class OffloadnnController {
   void reset();
 
  private:
-  // Per-task resource commitment, recorded at admission so departures can
-  // return exactly what the task took.
-  struct TaskCommitment {
-    std::string name;
-    double compute_s = 0.0;    // z λ Σc
-    double shared_rbs = 0.0;   // z · r
-    std::vector<edge::BlockIndex> blocks;
-  };
-
   // Solve-and-assemble phase: builds the (possibly discounted) instance,
   // runs the solver and produces the full plan. Const — commits nothing
   // (the caches it warms are accelerators whose hits are bit-identical to
@@ -219,7 +227,7 @@ class OffloadnnController {
   Options options_;
   edge::ResourceLedger ledger_;
   std::vector<edge::BlockIndex> deployed_blocks_;
-  std::vector<TaskCommitment> active_;
+  std::vector<Commitment> active_;
   // rebuild_ledger()'s seen-block marks, indexed by block; all zero
   // between calls (reused so a rebuild allocates nothing).
   std::vector<unsigned char> block_marks_;

@@ -7,7 +7,6 @@
 
 #include "core/fingerprint.h"
 #include "obs/trace.h"
-#include "sched/conservation.h"
 #include "sim/emulator.h"
 #include "util/fmt.h"
 
@@ -221,15 +220,15 @@ void ServingLoop::observe_all() {
 // and at each epoch boundary, every cell's ledger and deployed blocks must
 // re-derive exactly from the plans it serves (sched/conservation.h). A
 // violation is an internal invariant break.
-void ServingLoop::check_conservation(const char* where) const {
+void ServingLoop::check_conservation(const char* where) {
   if (!sched_on()) return;
+  ODN_TRACE_SPAN("sched", "sched.conservation");
   for (std::size_t i = 0; i < active_.size(); ++i) {
-    std::vector<std::pair<std::string, const core::TaskPlan*>> served;
-    served.reserve(active_[i].size());
+    book_.clear();
     for (const std::size_t j : active_[i])
-      served.emplace_back(jobs_[j].name, &jobs_[j].plan);
-    if (const auto violation = sched::find_orphaned_resources(
-            backend_.cell(i).controller, served, catalog_))
+      book_.push_back(sched::ServedTask{jobs_[j].name, &jobs_[j].plan});
+    if (const auto violation = conservation_.find_orphaned_resources(
+            backend_.cell(i).controller, book_, catalog_))
       throw std::logic_error(
           util::fmt("{}: orphaned resources on cell {} {}: {}",
                     backend_.traits().owner, i, where, *violation));
@@ -248,8 +247,11 @@ Placement ServingLoop::run_ladder(std::size_t cell, sched::SchedHost& host,
         served.trace_id, served.priority, &served.admitted_task,
         served.sched_downgraded});
   }
-  const sched::LadderOutcome outcome =
-      sched::run_preemption_ladder(host, task, candidates, options_.sched);
+  const sched::LadderOutcome outcome = [&] {
+    ODN_TRACE_SPAN("sched", "sched.ladder");
+    return sched::run_preemption_ladder(host, task, candidates,
+                                        options_.sched);
+  }();
   books_.sched.probes += outcome.probes;
   books_.sched.rollbacks += outcome.rollbacks;
   sched_probes_total_->inc(outcome.probes);

@@ -38,6 +38,7 @@
 #include "runtime/retry_policy.h"
 #include "runtime/stats.h"
 #include "runtime/workload.h"
+#include "sched/conservation.h"
 #include "sched/deadline_monitor.h"
 #include "sched/options.h"
 #include "sched/policy.h"
@@ -301,7 +302,7 @@ class ServingLoop {
   void apply_faults(double now);
   void depart(std::size_t index, double now);
   void epoch(double now, std::size_t index);
-  void check_conservation(const char* where) const;
+  void check_conservation(const char* where);
 
   // Null handles (series not registered) are skipped by the increments.
   struct ClassCounters {
@@ -342,6 +343,10 @@ class ServingLoop {
   // is O(served jobs); ascending job index is the order a full scan
   // produces.
   std::vector<util::IndexSet> active_;
+  // The conservation check's per-cell book and scratch, reused so a check
+  // allocates nothing once they have grown.
+  std::vector<sched::ServedTask> book_;
+  sched::ConservationCheck conservation_;
   // Per-class counts for the current epoch alone (the alert engine's
   // input; ClassStats totals accumulate across the whole run).
   std::vector<std::uint64_t> epoch_class_samples_;

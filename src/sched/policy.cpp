@@ -69,10 +69,12 @@ LadderOutcome run_preemption_ladder(
     const std::vector<SchedCandidate>& candidates,
     const SchedOptions& options) {
   LadderOutcome out;
+  // The one-task request set rungs 1 and 3 probe and commit, built once.
+  const std::vector<core::DotTask> single{arrival};
 
-  auto probe = [&](std::vector<core::DotTask> requests) {
+  auto probe = [&](const std::vector<core::DotTask>& requests) {
     ++out.probes;
-    return host.probe(std::move(requests));
+    return host.probe(requests);
   };
   auto release_or_throw = [&](const SchedCandidate& victim) {
     if (!host.release(victim.task->spec.name))
@@ -81,8 +83,8 @@ LadderOutcome run_preemption_ladder(
   };
 
   // Rung 1: admit as-is.
-  if (all_admitted(probe({arrival}), 1)) {
-    const core::DeploymentPlan committed = host.commit({arrival});
+  if (all_admitted(probe(single), 1)) {
+    const core::DeploymentPlan committed = host.commit(single);
     const core::TaskPlan* plan = find_task_plan(committed, arrival.spec.name);
     if (plan == nullptr || !plan->admitted)
       fail_probe_commit_divergence(arrival.spec.name);
@@ -187,9 +189,9 @@ LadderOutcome run_preemption_ladder(
         release_or_throw(*victim);
         released.push_back(victim);
       }
-      if (!all_admitted(probe({arrival}), 1)) continue;
+      if (!all_admitted(probe(single), 1)) continue;
 
-      const core::DeploymentPlan committed = host.commit({arrival});
+      const core::DeploymentPlan committed = host.commit(single);
       const core::TaskPlan* plan =
           find_task_plan(committed, arrival.spec.name);
       if (plan == nullptr || !plan->admitted)

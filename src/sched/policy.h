@@ -51,11 +51,11 @@ class SchedHost {
   virtual ~SchedHost() = default;
   // Dry-run: the plan a subsequent commit of `requests` would apply.
   virtual core::DeploymentPlan probe(
-      std::vector<core::DotTask> requests) const = 0;
+      const std::vector<core::DotTask>& requests) const = 0;
   // Commits `requests` (only admitted tasks take effect) and returns the
   // applied plan.
   virtual core::DeploymentPlan commit(
-      std::vector<core::DotTask> requests) = 0;
+      const std::vector<core::DotTask>& requests) = 0;
   // Releases a served task's commitment; false when unknown.
   virtual bool release(const std::string& name) = 0;
 };
@@ -70,13 +70,12 @@ class ControllerSchedHost : public SchedHost {
       : controller_(controller), catalog_(catalog), digest_(digest) {}
 
   core::DeploymentPlan probe(
-      std::vector<core::DotTask> requests) const override {
-    return controller_.probe_incremental(catalog_, std::move(requests),
-                                         digest_);
+      const std::vector<core::DotTask>& requests) const override {
+    return controller_.probe_incremental(catalog_, requests, digest_);
   }
-  core::DeploymentPlan commit(std::vector<core::DotTask> requests) override {
-    return controller_.admit_incremental(catalog_, std::move(requests),
-                                         digest_);
+  core::DeploymentPlan commit(
+      const std::vector<core::DotTask>& requests) override {
+    return controller_.admit_incremental(catalog_, requests, digest_);
   }
   bool release(const std::string& name) override {
     return controller_.release(name);

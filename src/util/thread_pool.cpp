@@ -91,7 +91,7 @@ bool ThreadPool::in_parallel_region() noexcept {
 }
 
 void ThreadPool::parallel_for(std::size_t count,
-                              const std::function<void(std::size_t)>& body) {
+                              FunctionRef<void(std::size_t)> body) {
   if (count == 0) return;
   const std::size_t lanes = std::min(count, worker_count() + 1);
   if (lanes <= 1 || tl_in_parallel_region) {
@@ -197,7 +197,7 @@ void set_thread_count(std::size_t count) {
 }
 
 void global_parallel_for(std::size_t count,
-                         const std::function<void(std::size_t)>& body) {
+                         FunctionRef<void(std::size_t)> body) {
   if (count == 0) return;
   // Dispatch metrics count call sites and index totals — both are
   // thread-count invariant (the serial fallback counts identically), so

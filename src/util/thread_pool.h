@@ -22,6 +22,8 @@
 #include <thread>
 #include <vector>
 
+#include "util/function_ref.h"
+
 namespace odn::util {
 
 class ThreadPool {
@@ -46,8 +48,7 @@ class ThreadPool {
   // The first exception thrown by any iteration is rethrown here. Called
   // from inside a pool task (or a parallel_for lane), it degrades to a
   // serial loop — nested dispatch would deadlock on wait_idle.
-  void parallel_for(std::size_t count,
-                    const std::function<void(std::size_t)>& body);
+  void parallel_for(std::size_t count, FunctionRef<void(std::size_t)> body);
 
   // True on the calling thread while it executes a pool task or a
   // parallel_for lane. Hot paths use it to serialize nested parallelism.
@@ -87,8 +88,9 @@ void set_thread_count(std::size_t count);
 // Run body(i) for i in [0, count) on the global pool, or serially when the
 // pool is serial (one thread), the count is trivial, or the caller is
 // already inside a parallel region. Bit-identical results either way as
-// long as distinct indices touch disjoint state.
+// long as distinct indices touch disjoint state. `body` is taken by
+// reference, so a call allocates nothing on the serial path.
 void global_parallel_for(std::size_t count,
-                         const std::function<void(std::size_t)>& body);
+                         FunctionRef<void(std::size_t)> body);
 
 }  // namespace odn::util

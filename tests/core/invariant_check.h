@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <span>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -217,14 +218,14 @@ inline void check_early_exit_invariants(const core::DotInstance& instance) {
 // rounding, no tolerance) from the plans the caller believes are being
 // served. Anything else means a preemption / downgrade / crash-recovery
 // path leaked or dropped a commitment. `served` pairs each served task's
-// name with its committed plan, in admission order.
+// name with its committed plan, in any order.
 inline void check_no_orphaned_resources(
     const core::OffloadnnController& controller,
-    const std::vector<std::pair<std::string, const core::TaskPlan*>>& served,
+    std::span<const sched::ServedTask> served,
     const edge::DnnCatalog& catalog,
     const std::string& context = "controller") {
-  const auto violation =
-      sched::find_orphaned_resources(controller, served, catalog);
+  const auto violation = sched::ConservationCheck{}.find_orphaned_resources(
+      controller, served, catalog);
   EXPECT_FALSE(violation.has_value())
       << context << ": orphaned resources: "
       << (violation ? *violation : std::string{});

@@ -24,13 +24,19 @@ TEST(Fig6, HeuristicOrdersOfMagnitudeFasterThanOptimum) {
   EXPECT_GT(optimal.solve_time_s, 10.0 * heuristic.solve_time_s);
 }
 
+// The wall-clock comparison runs alone (RUN_SERIAL, tests/CMakeLists.txt);
+// the work the runtime stands for, branches explored, must grow too.
 TEST(Fig6, OptimumRuntimeGrowsWithTasks) {
   double previous = 0.0;
+  std::size_t previous_branches = 0;
   for (const std::size_t num_tasks : {2u, 3u, 4u, 5u}) {
     const DotInstance instance = core::make_small_scenario(num_tasks);
     const DotSolution optimal = core::OptimalSolver{}.solve(instance);
     EXPECT_GT(optimal.solve_time_s, previous);
+    EXPECT_GT(optimal.branches_explored, previous_branches)
+        << "T=" << num_tasks;
     previous = optimal.solve_time_s;
+    previous_branches = optimal.branches_explored;
   }
 }
 

@@ -65,11 +65,12 @@ class FakeHost final : public SchedHost {
   std::size_t served_count() const { return served_.size(); }
 
   core::DeploymentPlan probe(
-      std::vector<core::DotTask> requests) const override {
+      const std::vector<core::DotTask>& requests) const override {
     return plan_for(requests, fits(requests));
   }
 
-  core::DeploymentPlan commit(std::vector<core::DotTask> requests) override {
+  core::DeploymentPlan commit(
+      const std::vector<core::DotTask>& requests) override {
     const bool admitted = fits(requests);
     if (admitted)
       for (const core::DotTask& task : requests)
@@ -408,14 +409,14 @@ TEST_F(ControllerLadderTest, AdmitPlanMatchesTheLedgerExactly) {
 
   // The committed plan the ladder hands back IS the ledger's view: the
   // no-orphaned-resources re-derivation must balance bit-for-bit.
-  const std::vector<std::pair<std::string, const core::TaskPlan*>> served = {
+  const std::vector<ServedTask> served = {
       {instance_.tasks[0].spec.name, &outcome.plan}};
   odn::testing::check_no_orphaned_resources(controller_, served, instance_.catalog,
                                     "after ladder admit");
 
   // And a book that forgets the task must be flagged as an orphan.
-  const auto violation =
-      find_orphaned_resources(controller_, {}, instance_.catalog);
+  const auto violation = ConservationCheck{}.find_orphaned_resources(
+      controller_, {}, instance_.catalog);
   EXPECT_TRUE(violation.has_value());
 }
 
@@ -445,7 +446,7 @@ TEST_F(ControllerLadderTest, InfeasibleArrivalRollsBackToTheExactState) {
   ASSERT_EQ(outcome.victims[0].fate, VictimOutcome::Fate::kRestored);
 
   // The restored plan (re-solved at rollback) balances against the ledger.
-  const std::vector<std::pair<std::string, const core::TaskPlan*>> served = {
+  const std::vector<ServedTask> served = {
       {instance_.tasks[0].spec.name, &outcome.victims[0].plan}};
   odn::testing::check_no_orphaned_resources(controller_, served, instance_.catalog,
                                     "after ladder reject");
